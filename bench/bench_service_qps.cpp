@@ -5,31 +5,19 @@
 // SLACK, 10% CRITPATH, 5% STATS) through Server::handle_line while one
 // writer thread runs RESIZE+UPDATE what-if transactions; the harness
 // reports sustained QPS and per-verb p50/p99 latency.
-// A second, sharded section runs the same read workload through an
-// in-process Fleet (CallbackEndpoint shards, no sockets) at shard
-// counts 1/2/4, then a deterministic failover drill at the largest
-// count: kill one shard, measure the degraded-answer rate while it is
-// down, time the supervised restart + re-warm, and check the fleet
-// reconverges bit-identically at the same epoch.
 // Flags: --clients N (default 8), --requests M per client (default 400),
 //        --rows N (workload size, default 32), --threads N (engine
-//        lanes, default 4), --no-cache, --no-sharded, --json FILE.
-#include <unistd.h>
-
+//        lanes, default 4), --no-cache, --json FILE.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <map>
-#include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common.h"
-#include "qwm/service/fleet.h"
 #include "qwm/service/server.h"
 
 namespace {
@@ -43,7 +31,6 @@ struct Flags {
   int rows = 32;
   int threads = 4;
   bool cache = true;
-  bool sharded = true;
   std::string json_path;
 
   static Flags parse(int argc, char** argv) {
@@ -59,15 +46,13 @@ struct Flags {
         f.threads = std::atoi(argv[++i]);
       else if (std::strcmp(argv[i], "--no-cache") == 0)
         f.cache = false;
-      else if (std::strcmp(argv[i], "--no-sharded") == 0)
-        f.sharded = false;
       else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
         f.json_path = argv[++i];
       else {
         std::fprintf(stderr,
                      "unknown flag: %s\nusage: %s [--clients N] "
                      "[--requests M] [--rows N] [--threads N] [--no-cache] "
-                     "[--no-sharded] [--json FILE]\n",
+                     "[--json FILE]\n",
                      argv[i], argv[0]);
         std::exit(2);
       }
@@ -247,191 +232,6 @@ void run_workload(const char* name, const std::string& deck, int rows,
   }
 }
 
-/// One in-process sharded fleet: `n` CallbackEndpoint shards (each a
-/// Server in --shard k/n mode) plus one full-design replica. Kill
-/// switches let the failover drill drop a shard deterministically.
-struct BenchFleet {
-  std::vector<std::unique_ptr<qwm::service::Server>> servers;
-  std::vector<std::shared_ptr<std::atomic<bool>>> dead;
-  /// Gate for the restart hook: while false the hook refuses, which
-  /// holds the fleet in its degraded window for measurement.
-  std::atomic<bool> allow_restart{false};
-  std::unique_ptr<qwm::service::Server> replica;
-  std::unique_ptr<qwm::service::Fleet> fleet;
-
-  explicit BenchFleet(int n, const Flags& flags) {
-    using namespace qwm::service;
-    std::vector<std::unique_ptr<ShardEndpoint>> shard_eps, replica_eps;
-    for (int k = 0; k < n; ++k) {
-      ServerOptions opt;
-      opt.db.sta.threads = 1;
-      opt.db.sta.use_cache = flags.cache;
-      opt.db.shard_index = k;
-      opt.db.shard_count = n;
-      servers.push_back(std::make_unique<Server>(opt));
-      dead.push_back(std::make_shared<std::atomic<bool>>(false));
-      shard_eps.push_back(std::make_unique<CallbackEndpoint>(endpoint_fn(k)));
-    }
-    ServerOptions ropt;
-    ropt.db.sta.threads = 1;
-    ropt.db.sta.use_cache = flags.cache;
-    replica = std::make_unique<Server>(ropt);
-    replica_eps.push_back(std::make_unique<CallbackEndpoint>(
-        [this](const std::string& line) { return replica->handle_line(line); }));
-
-    FleetOptions fopt;
-    // One probe failure marks a shard down: the in-process endpoints
-    // never blip, so the drill is deterministic with the tight ladder.
-    fopt.health.suspect_after = 1;
-    fopt.health.down_after = 1;
-    fleet = std::make_unique<Fleet>(fopt, std::move(shard_eps),
-                                    std::move(replica_eps));
-    const bool cache = flags.cache;
-    fleet->set_restart_fn(
-        [this, n, cache](int k) -> std::unique_ptr<ShardEndpoint> {
-          using namespace qwm::service;
-          if (!allow_restart.load(std::memory_order_acquire)) return nullptr;
-          ServerOptions opt;
-          opt.db.sta.threads = 1;
-          opt.db.sta.use_cache = cache;
-          opt.db.shard_index = k;
-          opt.db.shard_count = n;
-          servers[static_cast<std::size_t>(k)] = std::make_unique<Server>(opt);
-          dead[static_cast<std::size_t>(k)]->store(false);
-          return std::make_unique<CallbackEndpoint>(endpoint_fn(k));
-        });
-  }
-
-  qwm::service::CallbackEndpoint::Handler endpoint_fn(int k) {
-    auto flag = dead[static_cast<std::size_t>(k)];
-    return [this, k, flag](const std::string& line) -> std::string {
-      if (flag->load(std::memory_order_acquire)) return "";
-      return servers[static_cast<std::size_t>(k)]->handle_line(line);
-    };
-  }
-};
-
-void run_sharded(const std::string& deck_path, int rows, const Flags& flags,
-                 std::vector<std::string>* json_out) {
-  using namespace qwm;
-  std::vector<std::string> nets;
-  for (int r = 0; r < rows; ++r) {
-    nets.push_back("wl" + std::to_string(r));
-    nets.push_back("d" + std::to_string(r));
-  }
-
-  std::printf("sharded fleet (in-process endpoints, 1 replica): decoder "
-              "rows=%d\n", rows);
-  for (const int n : {1, 2, 4}) {
-    BenchFleet bf(n, flags);
-    service::Fleet& fleet = *bf.fleet;
-    const auto l0 = Clock::now();
-    const std::string load = fleet.handle_line("LOAD " + deck_path);
-    const double load_ms =
-        std::chrono::duration<double, std::milli>(Clock::now() - l0).count();
-    if (!service::is_ok(load)) {
-      std::printf("  shards=%d: LOAD failed: %s\n", n, load.c_str());
-      continue;
-    }
-
-    // Mixed read workload through the router data plane.
-    std::vector<std::vector<double>> lat(
-        static_cast<std::size_t>(flags.clients));
-    std::atomic<std::uint64_t> errors{0};
-    const auto t0 = Clock::now();
-    std::vector<std::thread> threads;
-    for (int c = 0; c < flags.clients; ++c) {
-      threads.emplace_back([&, c] {
-        std::uint64_t rng = 0x5a5au + static_cast<std::uint64_t>(c);
-        for (int i = 0; i < flags.requests; ++i) {
-          const std::uint64_t dice = next_rand(&rng) % 100;
-          const std::string& net = nets[next_rand(&rng) % nets.size()];
-          std::string req;
-          if (dice < 70) req = "ARRIVAL " + net;
-          else if (dice < 85) req = "SLACK " + net + " 2n";
-          else if (dice < 95) req = "CRITPATH";
-          else req = "STATS";
-          const auto q0 = Clock::now();
-          const std::string resp = fleet.handle_line(req);
-          const auto q1 = Clock::now();
-          if (!service::is_ok(resp)) ++errors;
-          lat[static_cast<std::size_t>(c)].push_back(
-              std::chrono::duration<double, std::micro>(q1 - q0).count());
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
-    const double wall_s =
-        std::chrono::duration<double>(Clock::now() - t0).count();
-    std::vector<double> merged;
-    for (auto& v : lat) merged.insert(merged.end(), v.begin(), v.end());
-    const double qps = static_cast<double>(merged.size()) / wall_s;
-    const double p50 = pct(&merged, 0.50), p99 = pct(&merged, 0.99);
-    std::printf("  shards=%d: load %.0f ms, %.0f QPS, p50 %.1f us, "
-                "p99 %.1f us, errors=%llu\n",
-                n, load_ms, qps, p50, p99,
-                (unsigned long long)errors.load());
-
-    // Failover drill (multi-shard fleets only — with one shard there is
-    // nothing to serve around). Detect + degrade with restarts refused,
-    // measure the degraded-answer rate across the whole net universe,
-    // then open the restart gate and time the supervised recovery.
-    std::string failover_json;
-    if (n > 1) {
-      const int victim = n - 1;
-      std::map<std::string, std::string> before;
-      for (const auto& net : nets)
-        before[net] = fleet.handle_line("ARRIVAL " + net);
-
-      bf.dead[static_cast<std::size_t>(victim)]->store(true);
-      fleet.supervise();  // detect -> degrade; restart refused by the gate
-      std::uint64_t degraded = 0, outage_errors = 0;
-      for (const auto& net : nets) {
-        const std::string resp = fleet.handle_line("ARRIVAL " + net);
-        if (!service::is_ok(resp)) ++outage_errors;
-        else if (service::is_degraded(resp)) ++degraded;
-      }
-
-      bf.allow_restart.store(true, std::memory_order_release);
-      const auto r0 = Clock::now();
-      fleet.supervise();  // restart + re-warm + reconverge
-      const double recovery_ms =
-          std::chrono::duration<double, std::milli>(Clock::now() - r0).count();
-
-      std::uint64_t mismatches = 0;
-      for (const auto& net : nets)
-        if (fleet.handle_line("ARRIVAL " + net) != before[net]) ++mismatches;
-      const double degraded_rate =
-          static_cast<double>(degraded) / static_cast<double>(nets.size());
-      std::printf("    failover: killed shard %d; degraded-answer rate "
-                  "%.2f (errors=%llu), recovery %.0f ms, post-recovery "
-                  "mismatches=%llu\n",
-                  victim, degraded_rate, (unsigned long long)outage_errors,
-                  recovery_ms, (unsigned long long)mismatches);
-      failover_json = qwm::bench::JsonObject()
-                          .integer("killed_shard", static_cast<std::uint64_t>(
-                                                       victim))
-                          .num("degraded_rate", degraded_rate)
-                          .integer("outage_errors", outage_errors)
-                          .num("recovery_ms", recovery_ms)
-                          .integer("post_recovery_mismatches", mismatches)
-                          .str();
-    }
-
-    if (json_out != nullptr) {
-      qwm::bench::JsonObject o;
-      o.integer("shards", static_cast<std::uint64_t>(n))
-          .num("load_ms", load_ms)
-          .num("qps", qps)
-          .num("p50_us", p50)
-          .num("p99_us", p99)
-          .integer("errors", errors.load());
-      if (!failover_json.empty()) o.raw("failover", failover_json);
-      json_out->push_back(o.str());
-    }
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -441,31 +241,15 @@ int main(int argc, char** argv) {
   const int farm_rows = std::max(flags.rows / 4, 1);
   const bool want_json = !flags.json_path.empty();
   std::string decoder_json, farm_json;
-  const std::string decoder_deck = qwm::bench::make_decoder_deck(flags.rows, 4);
-  run_workload("decoder", decoder_deck, flags.rows, flags,
-               want_json ? &decoder_json : nullptr);
+  run_workload("decoder", qwm::bench::make_decoder_deck(flags.rows, 4),
+               flags.rows, flags, want_json ? &decoder_json : nullptr);
   run_workload("gatefarm", qwm::bench::make_gate_farm_deck(farm_rows),
                farm_rows, flags, want_json ? &farm_json : nullptr);
-
-  std::vector<std::string> sharded_json;
-  if (flags.sharded) {
-    // The fleet LOAD verb takes a deck path (it reads the file both for
-    // routing tables and to fan out to the shards), so stage the
-    // generated deck on disk.
-    const std::string deck_path =
-        "/tmp/qwm_bench_service_qps_" + std::to_string(::getpid()) + ".sp";
-    if (!qwm::bench::write_text_file(deck_path, decoder_deck)) return 1;
-    run_sharded(deck_path, flags.rows, flags,
-                want_json ? &sharded_json : nullptr);
-    ::unlink(deck_path.c_str());
-  }
 
   if (want_json) {
     const std::string doc =
         "{\n  \"bench\": \"service_qps\",\n  \"workloads\": " +
-        qwm::bench::json_array({decoder_json, farm_json}, "    ") +
-        ",\n  \"sharded\": " + qwm::bench::json_array(sharded_json, "    ") +
-        "\n}\n";
+        qwm::bench::json_array({decoder_json, farm_json}, "    ") + "\n}\n";
     if (!qwm::bench::write_text_file(flags.json_path, doc)) return 1;
     std::printf("wrote %s\n", flags.json_path.c_str());
   }

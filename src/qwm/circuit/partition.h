@@ -49,15 +49,4 @@ struct PartitionedDesign {
 PartitionedDesign partition_netlist(const netlist::FlatNetlist& nl,
                                     const device::ModelSet& models);
 
-/// Extracts the sub-design consisting of the stages in `keep` (indices
-/// into `full.stages`, kept in the given order). Stages are copied with
-/// their NetIds intact — only stage indices are renumbered — so a net
-/// means the same thing in every extraction of one parse. Input nets
-/// whose driver is outside the kept set become the sub-design's primary
-/// inputs (sorted, deduped): the boundary ports a shard's fleet layer
-/// feeds via SETARR. This is how each shard of a sharded fleet derives
-/// its slice from the common full-deck parse, deterministically.
-PartitionedDesign extract_stages(const PartitionedDesign& full,
-                                 const std::vector<int>& keep);
-
 }  // namespace qwm::circuit

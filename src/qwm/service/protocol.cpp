@@ -41,21 +41,6 @@ bool parse_int(const std::string& tok, int* out) {
   return true;
 }
 
-// strtod, not parse_spice_number: SETARR operands are %.17g round trips
-// of engine doubles (including negatives and exponents), never suffixed
-// SPICE literals, and must re-parse to the exact bits.
-bool parse_exact_double(const std::string& tok, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(tok.c_str(), &end);
-  return end != tok.c_str() && *end == '\0';
-}
-
-bool parse_bool01(const std::string& tok, bool* out) {
-  if (tok == "0") { *out = false; return true; }
-  if (tok == "1") { *out = true; return true; }
-  return false;
-}
-
 ParsedRequest bad(const std::string& code, const std::string& msg) {
   ParsedRequest p;
   p.code = code;
@@ -75,9 +60,6 @@ const char* verb_name(Verb v) {
     case Verb::kResize: return "resize";
     case Verb::kUpdate: return "update";
     case Verb::kStats: return "stats";
-    case Verb::kHealth: return "health";
-    case Verb::kBoundary: return "boundary";
-    case Verb::kSetArr: return "setarr";
     case Verb::kShutdown: return "shutdown";
   }
   return "?";
@@ -134,35 +116,6 @@ ParsedRequest parse_request(const std::string& line) {
   } else if (verb == "stats") {
     if (t.size() != 1) return bad("ARG", "usage: STATS");
     r.verb = Verb::kStats;
-  } else if (verb == "health") {
-    if (t.size() != 1) return bad("ARG", "usage: HEALTH");
-    r.verb = Verb::kHealth;
-  } else if (verb == "boundary") {
-    if (t.size() != 1) return bad("ARG", "usage: BOUNDARY");
-    r.verb = Verb::kBoundary;
-  } else if (verb == "setarr") {
-    if (t.size() != 10)
-      return bad("ARG",
-                 "usage: SETARR <net> <rv> <rise> <rslew> <rdeg> <fv> "
-                 "<fall> <fslew> <fdeg>");
-    r.verb = Verb::kSetArr;
-    r.net = lower(t[1]);
-    if (!parse_bool01(t[2], &r.rise.valid))
-      return bad("ARG", "bad rise-valid flag: " + t[2]);
-    if (!parse_exact_double(t[3], &r.rise.time))
-      return bad("ARG", "bad rise time: " + t[3]);
-    if (!parse_exact_double(t[4], &r.rise.slew))
-      return bad("ARG", "bad rise slew: " + t[4]);
-    if (!parse_bool01(t[5], &r.rise.degraded))
-      return bad("ARG", "bad rise-degraded flag: " + t[5]);
-    if (!parse_bool01(t[6], &r.fall.valid))
-      return bad("ARG", "bad fall-valid flag: " + t[6]);
-    if (!parse_exact_double(t[7], &r.fall.time))
-      return bad("ARG", "bad fall time: " + t[7]);
-    if (!parse_exact_double(t[8], &r.fall.slew))
-      return bad("ARG", "bad fall slew: " + t[8]);
-    if (!parse_bool01(t[9], &r.fall.degraded))
-      return bad("ARG", "bad fall-degraded flag: " + t[9]);
   } else if (verb == "shutdown") {
     if (t.size() != 1) return bad("ARG", "usage: SHUTDOWN");
     r.verb = Verb::kShutdown;
@@ -215,14 +168,7 @@ std::string err_code(const std::string& response) {
 }
 
 bool retryable_code(const std::string& code) {
-  return code == "BUSY" || code == "DEADLINE" || code == "DEGRADED" ||
-         code == "SHARD_DOWN";
-}
-
-std::string degrade_response(const std::string& response) {
-  if (!is_ok(response) || is_degraded(response)) return response;
-  return response == "OK" ? "OK DEGRADED"
-                          : "OK DEGRADED " + response.substr(3);
+  return code == "BUSY" || code == "DEADLINE" || code == "DEGRADED";
 }
 
 std::string with_field(const std::string& response, const std::string& key,

@@ -1,6 +1,5 @@
 #include "qwm/service/server.h"
 
-#include <cctype>
 #include <chrono>
 #include <istream>
 #include <ostream>
@@ -19,13 +18,6 @@ double ms_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
-/// Appends one boundary/arrival edge as the compact colon format used in
-/// BOUNDARY entries: v:time:slew:degraded.
-void append_edge(std::ostringstream& os, const sta::Arrival& a) {
-  os << (a.valid() ? 1 : 0) << ":" << format_double(a.time) << ":"
-     << format_double(a.slew) << ":" << (a.degraded ? 1 : 0);
-}
-
 }  // namespace
 
 Server::Server(ServerOptions opt)
@@ -35,23 +27,6 @@ Server::Server(ServerOptions opt)
                                   opt.deadline_ms}) {
   transport_.set_handler([this](const std::string& line) {
     return handle_line(line);
-  });
-  // HEALTH bypasses the admission queue: a saturated shard must still
-  // prove liveness so the router can tell "slow" from "dead".
-  transport_.set_fast_handler([this](const std::string& line,
-                                     std::string* response) {
-    std::string word;
-    for (char c : line) {
-      if (std::isspace(static_cast<unsigned char>(c))) {
-        if (!word.empty()) break;
-        continue;
-      }
-      word.push_back(
-          static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-    }
-    if (word != "health") return false;
-    *response = health_line();
-    return true;
   });
 }
 
@@ -64,22 +39,6 @@ void Server::note_result(Verb v, double ms, bool ok) {
   if (!ok) ++s.errors;
   s.total_ms += ms;
   if (ms > s.max_ms) s.max_ms = ms;
-}
-
-void Server::refresh_mirrors(std::uint64_t epoch, bool loaded) {
-  epoch_mirror_.store(epoch, std::memory_order_relaxed);
-  loaded_mirror_.store(loaded, std::memory_order_relaxed);
-}
-
-std::string Server::health_line() {
-  health_probes_.fetch_add(1, std::memory_order_relaxed);
-  std::ostringstream os;
-  os << "health=1 loaded=" << (loaded_mirror_.load(std::memory_order_relaxed)
-                                   ? 1
-                                   : 0)
-     << " epoch=" << epoch_mirror_.load(std::memory_order_relaxed)
-     << " shard=" << db_.shard_index() << " shards=" << db_.shard_count();
-  return ok_line(os.str());
 }
 
 std::string Server::handle_line(const std::string& line) {
@@ -120,17 +79,10 @@ std::string Server::handle_line(const std::string& line) {
         resp = err_line(reply.status.code, reply.status.message);
         break;
       }
-      refresh_mirrors(reply.epoch, true);
       os << "epoch=" << reply.epoch << " session=" << reply.session
          << " stages=" << reply.stages << " nets=" << reply.nets
          << " evals=" << reply.evals << " warnings=" << reply.warnings.size()
          << " worst=" << format_double(reply.worst);
-      if (reply.shards > 1) {
-        os << " shard=" << reply.shard << " shards=" << reply.shards
-           << " total_stages=" << reply.total_stages
-           << " boundary_in=" << reply.boundary_in
-           << " boundary_out=" << reply.boundary_out;
-      }
       resp = ok_line(os.str());
       break;
     }
@@ -219,7 +171,6 @@ std::string Server::handle_line(const std::string& line) {
         resp = err_line(reply.status.code, reply.status.message);
         break;
       }
-      refresh_mirrors(reply.epoch, true);
       os << "epoch=" << reply.epoch << " stage=" << r.stage
          << " edge=" << r.edge << " width=" << format_double(r.width)
          << " staged=1";
@@ -232,7 +183,6 @@ std::string Server::handle_line(const std::string& line) {
         resp = err_line(reply.status.code, reply.status.message);
         break;
       }
-      refresh_mirrors(reply.epoch, true);
       os << "epoch=" << reply.epoch << " evals=" << reply.evals
          << " worst=" << format_double(reply.worst);
       resp = ok_line(os.str());
@@ -243,20 +193,13 @@ std::string Server::handle_line(const std::string& line) {
       ServerStats sv = stats();
       std::uint64_t total = 0;
       for (const auto& v : sv.verb) total += v.requests;
-      const TransportStats ts = transport_.stats();
       os << "epoch=" << db.epoch << " session=" << db.session
          << " loaded=" << (db.loaded ? 1 : 0) << " stages=" << db.stages
-         << " shard=" << db.shard << " shards=" << db.shards
-         << " boundary_out=" << db.boundary_out
          << " requests=" << total << " malformed=" << sv.malformed
          << " busy=" << sv.busy_rejections
          << " deadline=" << sv.deadline_expirations
          << " solve_deadline=" << sv.solve_deadline_expirations
          << " degraded=" << sv.degraded_replies
-         << " health_probes=" << sv.health_probes
-         << " dropped_conns=" << ts.dropped_connections
-         << " stalled_replies=" << ts.stalled_replies
-         << " corrupted_replies=" << ts.corrupted_replies
          << " fallback_nominal=" << db.qwm.fallback_counts[core::kRungNominal]
          << " fallback_damped=" << db.qwm.fallback_counts[core::kRungDamped]
          << " fallback_bisect=" << db.qwm.fallback_counts[core::kRungBisect]
@@ -289,53 +232,6 @@ std::string Server::handle_line(const std::string& line) {
            << format_double(v.total_ms / static_cast<double>(v.requests))
            << " " << name << ".max_ms=" << format_double(v.max_ms);
       }
-      resp = ok_line(os.str());
-      break;
-    }
-    case Verb::kHealth: {
-      // Normally intercepted by the transport fast path; answered here
-      // too so direct handle_line() callers get the same reply.
-      resp = health_line();
-      break;
-    }
-    case Verb::kBoundary: {
-      const BoundaryReply reply = db_.boundary();
-      if (!reply.status.ok) {
-        resp = err_line(reply.status.code, reply.status.message);
-        break;
-      }
-      os << "epoch=" << reply.epoch << " count=" << reply.entries.size()
-         << " nets=";
-      for (std::size_t i = 0; i < reply.entries.size(); ++i) {
-        const auto& e = reply.entries[i];
-        if (i) os << ";";
-        os << e.net << ":";
-        append_edge(os, e.timing.rise);
-        os << ":";
-        append_edge(os, e.timing.fall);
-      }
-      resp = ok_line(os.str());
-      break;
-    }
-    case Verb::kSetArr: {
-      sta::NetTiming t;
-      if (r.rise.valid) {
-        t.rise.time = r.rise.time;
-        t.rise.slew = r.rise.slew;
-        t.rise.degraded = r.rise.degraded;
-      }
-      if (r.fall.valid) {
-        t.fall.time = r.fall.time;
-        t.fall.slew = r.fall.slew;
-        t.fall.degraded = r.fall.degraded;
-      }
-      const MutateReply reply = db_.set_arrival(r.net, t);
-      if (!reply.status.ok) {
-        resp = err_line(reply.status.code, reply.status.message);
-        break;
-      }
-      refresh_mirrors(reply.epoch, true);
-      os << "epoch=" << reply.epoch << " net=" << r.net << " staged=1";
       resp = ok_line(os.str());
       break;
     }
@@ -383,7 +279,6 @@ ServerStats Server::stats() const {
   const TransportStats ts = transport_.stats();
   s.busy_rejections = ts.busy_rejections;
   s.deadline_expirations = ts.deadline_expirations;
-  s.health_probes = health_probes_.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -1,23 +1,19 @@
 // qwm_serve dispatch layer.
 //
 // A Server owns one DesignDb and a LineTransport (see transport.h for
-// the admission queue, worker lanes, stdio/TCP plumbing, and the
-// reply-path fault hooks). The Server contributes the protocol logic:
-// parse a request line, execute it against the db, format the one-line
-// reply, and keep per-verb request/error/latency counters.
+// the admission queue, worker lanes and stdio/TCP plumbing). The Server
+// contributes the protocol logic: parse a request line, execute it
+// against the db, format the one-line reply, and keep per-verb
+// request/error/latency counters.
 //
-// Queries run under the DesignDb's shared lock; RESIZE/UPDATE/LOAD/
-// SETARR transactions serialize on its exclusive lock and bump the
-// epoch (see design_db.h). HEALTH is answered on the transport's fast
-// path from lock-free mirrors — a saturated or write-locked server
-// still proves liveness, which is how the fleet's health tracker tells
-// "slow" from "dead".
+// Queries run under the DesignDb's shared lock; RESIZE/UPDATE/LOAD
+// transactions serialize on its exclusive lock and bump the epoch (see
+// design_db.h).
 //
 // Per-verb counters plus the busy/deadline shed counts are surfaced
 // through the STATS verb.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <mutex>
@@ -64,8 +60,6 @@ struct ServerStats {
   std::uint64_t solve_deadline_expirations = 0;
   /// "OK DEGRADED" replies served (fallback-ladder results delivered).
   std::uint64_t degraded_replies = 0;
-  /// HEALTH probes answered on the transport fast path.
-  std::uint64_t health_probes = 0;
 };
 
 class Server {
@@ -78,10 +72,6 @@ class Server {
 
   DesignDb& db() { return db_; }
   const ServerOptions& options() const { return opt_; }
-
-  /// Per-instance reply-path fault hook (drop/stall/corrupt — see
-  /// transport.h). Configure before serving.
-  support::FaultHook& fault_hook() { return transport_.fault_hook(); }
 
   /// Parses and executes one request line, returning the one-line
   /// response. Thread-safe; every transport funnels through this, and
@@ -112,21 +102,10 @@ class Server {
 
  private:
   void note_result(Verb v, double ms, bool ok);
-  /// Lock-free HEALTH reply from the epoch/loaded mirrors (fast path —
-  /// must never touch the db locks).
-  std::string health_line();
-  /// Refresh the mirrors after a mutation (called with no locks held;
-  /// the mirrors are advisory, exact values come from the reply itself).
-  void refresh_mirrors(std::uint64_t epoch, bool loaded);
 
   ServerOptions opt_;
   DesignDb db_;
   LineTransport transport_;
-
-  // Lock-free state mirrors feeding health_line().
-  std::atomic<std::uint64_t> epoch_mirror_{0};
-  std::atomic<bool> loaded_mirror_{false};
-  std::atomic<std::uint64_t> health_probes_{0};
 
   mutable std::mutex stats_mu_;
   ServerStats stats_;

@@ -87,37 +87,6 @@ LineTransport::LineTransport(TransportOptions opt)
 
 LineTransport::~LineTransport() { request_shutdown(); }
 
-void LineTransport::deliver(const std::shared_ptr<Conn>& conn,
-                            const std::string& resp) {
-  std::string out = resp;
-  double mag = 0.0;
-  // Ladder order mirrors a real failing process: a stalled reply can
-  // still arrive torn, and a dropped connection trumps both.
-  if (fault_hook_.fire(support::FaultSite::kStallReply, &mag) && mag > 0.0) {
-    {
-      std::lock_guard lock(stats_mu_);
-      ++stats_.stalled_replies;
-    }
-    std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(mag));
-  }
-  if (fault_hook_.fire(support::FaultSite::kCorruptReply)) {
-    {
-      std::lock_guard lock(stats_mu_);
-      ++stats_.corrupted_replies;
-    }
-    out = out.substr(0, out.size() / 2) + "\x01TORN";
-  }
-  if (fault_hook_.fire(support::FaultSite::kDropConnection)) {
-    {
-      std::lock_guard lock(stats_mu_);
-      ++stats_.dropped_connections;
-    }
-    conn->shutdown_io();
-    return;
-  }
-  conn->write_line(out);
-}
-
 void LineTransport::submit_and_wait(const std::shared_ptr<Conn>& conn,
                                     const std::string& line) {
   auto job = std::make_shared<Job>();
@@ -129,7 +98,7 @@ void LineTransport::submit_and_wait(const std::shared_ptr<Conn>& conn,
   {
     std::lock_guard lock(queue_mu_);
     if (queue_closed_) {
-      deliver(conn, err_line("SHUTDOWN", "server stopping"));
+      conn->write_line(err_line("SHUTDOWN", "server stopping"));
       return;
     }
     if (static_cast<int>(queue_.size()) >= opt_.queue_capacity) {
@@ -143,7 +112,7 @@ void LineTransport::submit_and_wait(const std::shared_ptr<Conn>& conn,
       std::lock_guard lock(stats_mu_);
       ++stats_.busy_rejections;
     }
-    deliver(conn, err_line("BUSY", "admission queue full"));
+    conn->write_line(err_line("BUSY", "admission queue full"));
     return;
   }
   queue_cv_.notify_one();
@@ -172,7 +141,7 @@ void LineTransport::worker_loop() {
     } else {
       resp = handler_ ? handler_(job->line) : err_line("INTERNAL", "no handler");
     }
-    if (!resp.empty()) deliver(job->conn, resp);
+    if (!resp.empty()) job->conn->write_line(resp);
     job->done.set_value();
   }
 }
@@ -180,15 +149,6 @@ void LineTransport::worker_loop() {
 void LineTransport::run_workers() {
   const std::size_t lanes = static_cast<std::size_t>(pool_.thread_count());
   pool_.parallel_for(lanes, [this](std::size_t) { worker_loop(); });
-}
-
-bool LineTransport::try_fast_path(const std::shared_ptr<Conn>& conn,
-                                  const std::string& line) {
-  if (!fast_handler_) return false;
-  std::string resp;
-  if (!fast_handler_(line, &resp)) return false;
-  if (!resp.empty()) deliver(conn, resp);
-  return true;
 }
 
 int LineTransport::serve_stream(std::istream& in, std::ostream& out) {
@@ -201,7 +161,6 @@ int LineTransport::serve_stream(std::istream& in, std::ostream& out) {
   while (!shutdown_requested() && std::getline(in, line)) {
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (ignorable(line)) continue;
-    if (try_fast_path(conn, line)) continue;
     submit_and_wait(conn, line);
   }
   request_shutdown();
@@ -292,7 +251,6 @@ void LineTransport::reader_loop(std::shared_ptr<Conn> conn) {
       buf.erase(0, nl + 1);
       if (!line.empty() && line.back() == '\r') line.pop_back();
       if (ignorable(line)) continue;
-      if (try_fast_path(conn, line)) continue;
       submit_and_wait(conn, line);
       if (shutdown_requested()) return;
     }

@@ -1,6 +1,6 @@
-// LineTransport — the newline-protocol transport engine, carved out of
-// Server so every daemon of the serving fleet (qwm_serve shards and the
-// qwm_router front end) shares one transport implementation.
+// LineTransport — the newline-protocol transport engine behind
+// qwm_serve's Server: admission, worker lanes and stdio/TCP plumbing,
+// kept apart from the protocol logic in server.h.
 //
 // Two transports over one machinery:
 //
@@ -14,17 +14,7 @@
 // lanes on a support::ThreadPool. A full queue rejects immediately with
 // "ERR BUSY" — overload sheds load instead of stalling the readers —
 // and a request that waited past deadline_ms is answered "ERR DEADLINE"
-// without reaching the handler. The optional *fast handler* runs on the
-// reader thread before admission: HEALTH is answered there, so liveness
-// probing keeps working when the queue is saturated — a saturated shard
-// is slow, not dead, and the router must be able to tell the difference.
-//
-// Fault injection: the per-instance FaultHook arms the process-level
-// fleet sites on the reply path — kDropConnection severs the connection
-// instead of replying, kStallReply withholds the reply for magnitude ms
-// (past any client deadline), kCorruptReply tears the reply line. Each
-// shard of an in-process test fleet carries its own hook, so a test can
-// sabotage exactly one shard deterministically.
+// without reaching the handler.
 #pragma once
 
 #include <atomic>
@@ -39,7 +29,6 @@
 #include <thread>
 #include <vector>
 
-#include "qwm/support/fault_injection.h"
 #include "qwm/support/thread_pool.h"
 
 namespace qwm::service {
@@ -58,10 +47,6 @@ struct TransportOptions {
 struct TransportStats {
   std::uint64_t busy_rejections = 0;
   std::uint64_t deadline_expirations = 0;
-  /// Injected reply faults that fired (observability for fleet tests).
-  std::uint64_t dropped_connections = 0;
-  std::uint64_t stalled_replies = 0;
-  std::uint64_t corrupted_replies = 0;
 };
 
 class LineTransport {
@@ -69,11 +54,6 @@ class LineTransport {
   /// Executes one request line, returning the one-line response ("" =
   /// nothing to write). Runs on a worker lane; must be thread-safe.
   using Handler = std::function<std::string(const std::string& line)>;
-  /// Pre-admission hook on the reader thread. Returning true short-
-  /// circuits the queue and replies with `*response` immediately; must
-  /// be lock-free-ish (never block on the engine).
-  using FastHandler =
-      std::function<bool(const std::string& line, std::string* response)>;
 
   explicit LineTransport(TransportOptions opt);
   ~LineTransport();
@@ -82,11 +62,6 @@ class LineTransport {
   LineTransport& operator=(const LineTransport&) = delete;
 
   void set_handler(Handler h) { handler_ = std::move(h); }
-  void set_fast_handler(FastHandler h) { fast_handler_ = std::move(h); }
-
-  /// Per-instance reply-path fault hook (see header comment). Configure
-  /// before serving.
-  support::FaultHook& fault_hook() { return fault_hook_; }
 
   const TransportOptions& options() const { return opt_; }
 
@@ -96,7 +71,7 @@ class LineTransport {
   int serve_stream(std::istream& in, std::ostream& out);
 
   /// Binds 127.0.0.1:`port` (0 = ephemeral; see port()) with
-  /// SO_REUSEADDR, so a supervised restart can rebind immediately
+  /// SO_REUSEADDR, so a restarted server can rebind its port immediately
   /// instead of tripping over the dead process's TIME_WAIT socket.
   /// False on failure; listen_error() then carries strerror(errno).
   bool listen(int port);
@@ -124,21 +99,12 @@ class LineTransport {
   /// enqueue (or shed with BUSY), wait for the worker's response write.
   void submit_and_wait(const std::shared_ptr<Conn>& conn,
                        const std::string& line);
-  /// Reply write with the fault-hook ladder applied (stall / corrupt /
-  /// drop). All response bytes leave through here.
-  void deliver(const std::shared_ptr<Conn>& conn, const std::string& resp);
   void worker_loop();
   void run_workers();  ///< parallel_for the worker lanes (blocks)
   void reader_loop(std::shared_ptr<Conn> conn);
-  /// Fast-handler dispatch shared by both transports; true when the
-  /// line was fully handled on the reader thread.
-  bool try_fast_path(const std::shared_ptr<Conn>& conn,
-                     const std::string& line);
 
   TransportOptions opt_;
   Handler handler_;
-  FastHandler fast_handler_;
-  support::FaultHook fault_hook_;
   support::ThreadPool pool_;
   std::atomic<bool> stop_{false};
 

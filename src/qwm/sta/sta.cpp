@@ -76,18 +76,6 @@ void StaEngine::set_input_arrival(netlist::NetId net, double rise_time,
   for (auto& lane : timing_) lane[net] = t;
 }
 
-void StaEngine::set_input_timing(netlist::NetId net, const NetTiming& t) {
-  for (auto& lane : timing_) lane[net] = t;
-  for (std::size_t i = 0; i < design_.stages.size(); ++i) {
-    for (netlist::NetId in : design_.stages[i].input_nets) {
-      if (in == net) {
-        dirty_[i] = 1;
-        break;
-      }
-    }
-  }
-}
-
 const NetTiming& StaEngine::timing_in(std::size_t slot,
                                       netlist::NetId net) const {
   const auto& lane = timing_[slot];

@@ -147,15 +147,6 @@ class StaEngine {
   void set_input_arrival(netlist::NetId net, double rise_time,
                          double fall_time, double slew = -1.0);
 
-  /// Full-fidelity input injection: installs `t` verbatim — per-edge
-  /// validity, independent slews, and sticky degraded flags included —
-  /// and marks every stage reading `net` dirty so the next update()
-  /// re-propagates the cone. This is the sharded fleet's boundary-input
-  /// port: arrivals computed by an upstream shard cross the wire as
-  /// %.17g round trips and re-enter here bit-exactly, which is what
-  /// makes a sharded analysis reproduce the single-process arrivals.
-  void set_input_timing(netlist::NetId net, const NetTiming& t);
-
   /// Full analysis: evaluates every stage output (cache hits included in
   /// the count; subtract cache_stats().hits for the QWM-run count).
   /// Returns the number of stage evaluations performed.
@@ -203,10 +194,8 @@ class StaEngine {
   /// Critical path from the worst endpoint back to a primary input.
   std::vector<CriticalPathStep> critical_path() const;
   /// Backtrace from a specific endpoint arrival instead of the global
-  /// worst — the shard router's cross-shard stitching primitive: when a
-  /// shard's trace bottoms out at a boundary input, the router continues
-  /// it on the owning shard by asking for the path feeding that net.
-  /// `rising` selects the edge. Empty when the arrival is invalid.
+  /// worst (the `CRITPATH <net> [R|F]` query). `rising` selects the edge.
+  /// Empty when the arrival is invalid.
   std::vector<CriticalPathStep> critical_path(netlist::NetId endpoint,
                                               bool rising) const;
 

@@ -19,36 +19,6 @@ std::uint64_t splitmix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// Rule evaluation shared by the process-global plan and per-instance
-/// FaultHooks: `occ` is this consultation's occurrence index and `fired`
-/// the site's fire counter (incremented on a hit, undone when a rule's
-/// budget is exhausted so counters stay meaningful).
-bool rules_fire(const FaultPlan& plan, FaultSite site, std::uint64_t occ,
-                std::atomic<std::uint64_t>* fired, double* magnitude) {
-  const int s = static_cast<int>(site);
-  for (const FaultRule& rule : plan.rules) {
-    if (rule.site != site) continue;
-    if (t_rung > rule.max_rung) continue;
-    if (occ < rule.start) continue;
-    if (rule.one_in != 0) {
-      const std::uint64_t h = splitmix64(
-          plan.seed ^ (static_cast<std::uint64_t>(s) << 56) ^ occ);
-      if (h % rule.one_in != 0) continue;
-    } else if (rule.period > 1 && (occ - rule.start) % rule.period != 0) {
-      continue;
-    }
-    const std::uint64_t n = fired->fetch_add(1, std::memory_order_relaxed);
-    if (n >= rule.count) {
-      // Over budget: undo the fired increment so counters stay meaningful.
-      fired->fetch_sub(1, std::memory_order_relaxed);
-      continue;
-    }
-    if (magnitude != nullptr) *magnitude = rule.magnitude;
-    return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 namespace detail {
@@ -62,7 +32,27 @@ bool fire_fault_slow(FaultSite site, double* magnitude) {
   const int s = static_cast<int>(site);
   const std::uint64_t occ =
       g_occurrences[s].fetch_add(1, std::memory_order_relaxed);
-  return rules_fire(*plan, site, occ, &g_fired[s], magnitude);
+  for (const FaultRule& rule : plan->rules) {
+    if (rule.site != site) continue;
+    if (t_rung > rule.max_rung) continue;
+    if (occ < rule.start) continue;
+    if (rule.one_in != 0) {
+      const std::uint64_t h = splitmix64(
+          plan->seed ^ (static_cast<std::uint64_t>(s) << 56) ^ occ);
+      if (h % rule.one_in != 0) continue;
+    } else if (rule.period > 1 && (occ - rule.start) % rule.period != 0) {
+      continue;
+    }
+    const std::uint64_t n = g_fired[s].fetch_add(1, std::memory_order_relaxed);
+    if (n >= rule.count) {
+      // Over budget: undo the fired increment so counters stay meaningful.
+      g_fired[s].fetch_sub(1, std::memory_order_relaxed);
+      continue;
+    }
+    if (magnitude != nullptr) *magnitude = rule.magnitude;
+    return true;
+  }
+  return false;
 }
 
 }  // namespace detail
@@ -77,10 +67,6 @@ const char* fault_site_name(FaultSite site) {
     case FaultSite::kMalformedFrame: return "malformed_frame";
     case FaultSite::kSlowRequest: return "slow_request";
     case FaultSite::kFailRequest: return "fail_request";
-    case FaultSite::kDropConnection: return "drop_connection";
-    case FaultSite::kStallReply: return "stall_reply";
-    case FaultSite::kCorruptReply: return "corrupt_reply";
-    case FaultSite::kRefuseRestart: return "refuse_restart";
   }
   return "unknown";
 }
@@ -147,30 +133,6 @@ bool parse_fault_plan(const std::string& spec, FaultPlan* plan,
   }
   if (plan->empty()) return fail("fault spec names no rules: " + spec);
   return true;
-}
-
-bool FaultHook::fire(FaultSite site, double* magnitude) {
-  if (plan_.empty()) return false;
-  const int s = static_cast<int>(site);
-  const std::uint64_t occ =
-      occurrences_[s].fetch_add(1, std::memory_order_relaxed);
-  return rules_fire(plan_, site, occ, &fired_[s], magnitude);
-}
-
-FaultCounters FaultHook::counters() const {
-  FaultCounters c;
-  for (int i = 0; i < kFaultSiteCount; ++i) {
-    c.occurrences[i] = occurrences_[i].load(std::memory_order_relaxed);
-    c.fired[i] = fired_[i].load(std::memory_order_relaxed);
-  }
-  return c;
-}
-
-void FaultHook::reset_counters() {
-  for (int i = 0; i < kFaultSiteCount; ++i) {
-    occurrences_[i].store(0, std::memory_order_relaxed);
-    fired_[i].store(0, std::memory_order_relaxed);
-  }
 }
 
 const FaultPlan* arm_fault_plan(const FaultPlan* plan) {

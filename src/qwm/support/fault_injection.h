@@ -2,19 +2,13 @@
 //
 // A FaultPlan is a list of rules, each targeting one injection site
 // (Newton stall, singular tridiagonal pivot, Sherman-Morrison denominator
-// blow-up, workspace grow, malformed protocol frame, slow/failed request,
-// and the process-level fleet sites: dropped connection, stalled reply,
-// corrupted reply line, refused shard restart). The plan is armed
-// process-wide through an atomic pointer; the hot-path check
-// `fire_fault()` is a single relaxed load plus null test when no plan is
-// armed, so the hooks are compiled in always at zero steady-state cost.
-//
-// For multi-instance setups (a sharded serving fleet whose shards may
-// live in one test process), a FaultHook gives each instance its *own*
-// plan and counters, so a test can sabotage shard k's transport without
-// touching its siblings; qwm_serve's --fault-spec flag parses a plan
-// from a command-line spec (see parse_fault_plan) to arm per-process
-// faults across a real fleet.
+// blow-up, bisection-rung failure, workspace grow, malformed protocol
+// frame, slow/failed request). The plan is armed process-wide through an
+// atomic pointer; the hot-path check `fire_fault()` is a single relaxed
+// load plus null test when no plan is armed, so the hooks are compiled
+// in always at zero steady-state cost. qwm_serve's --fault-spec flag
+// parses a plan from a command-line spec (see parse_fault_plan) and arms
+// it in the server process.
 //
 // Determinism: a rule fires on occurrence indices derived from per-site
 // atomic counters (`start`, every `period`-th, at most `count` times), or
@@ -43,13 +37,8 @@ enum class FaultSite : int {
   kMalformedFrame,    ///< a protocol request line arrives corrupted
   kSlowRequest,       ///< a service request stalls for `magnitude` ms
   kFailRequest,       ///< a service request fails outright (ERR INJECTED)
-  kDropConnection,    ///< the server drops the client connection mid-reply
-  kStallReply,        ///< a reply is withheld for `magnitude` ms (past any
-                      ///< client deadline) before being written
-  kCorruptReply,      ///< one reply line is written torn/garbled
-  kRefuseRestart,     ///< the fleet supervisor's restart attempt fails
 };
-inline constexpr int kFaultSiteCount = 12;
+inline constexpr int kFaultSiteCount = 8;
 
 /// Short stable name for logs and test messages ("newton_stall", ...).
 const char* fault_site_name(FaultSite site);
@@ -128,44 +117,18 @@ void reset_fault_counters();
 ///
 ///   spec  := entry (',' entry)*
 ///   entry := "seed=" N | site (':' key '=' N)*
-///   site  := short site name (fault_site_name), e.g. "drop_connection"
+///   site  := short site name (fault_site_name), e.g. "fail_request"
 ///   key   := start | period | count | one_in | max_rung | magnitude
 ///
-/// Example: "drop_connection:start=5:count=1,stall_reply:magnitude=50".
+/// Example: "fail_request:start=5:count=1,slow_request:magnitude=50".
 /// Returns false and fills `error` on a malformed spec. Used by
-/// qwm_serve --fault-spec so a CI script can arm deterministic faults in
-/// one specific shard process of a fleet.
+/// qwm_serve --fault-spec so a script can arm deterministic faults in a
+/// running server process.
 bool parse_fault_plan(const std::string& spec, FaultPlan* plan,
                       std::string* error);
 
 /// Reverse of fault_site_name: false when `name` matches no site.
 bool fault_site_from_name(const std::string& name, FaultSite* site);
-
-/// Instance-scoped fault evaluation: a FaultHook owns its plan and its
-/// occurrence/fired counters, independent of the process-global plan, so
-/// each shard server of an in-process fleet can be sabotaged
-/// individually and deterministically. fire() is thread-safe; set_plan()
-/// must not race with fire() (configure before serving).
-class FaultHook {
- public:
-  FaultHook() = default;
-  explicit FaultHook(FaultPlan plan) : plan_(std::move(plan)) {}
-
-  void set_plan(FaultPlan plan) { plan_ = std::move(plan); }
-  bool armed() const { return !plan_.empty(); }
-
-  /// Same rule semantics as the global fire_fault(), evaluated against
-  /// this hook's plan and counters only.
-  bool fire(FaultSite site, double* magnitude = nullptr);
-
-  FaultCounters counters() const;
-  void reset_counters();
-
- private:
-  FaultPlan plan_;
-  std::atomic<std::uint64_t> occurrences_[kFaultSiteCount] = {};
-  std::atomic<std::uint64_t> fired_[kFaultSiteCount] = {};
-};
 
 /// RAII arm/disarm, resetting counters on entry so tests start clean.
 class ScopedFaultPlan {

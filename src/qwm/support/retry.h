@@ -1,8 +1,6 @@
 // Shared bounded-retry policy with jittered exponential backoff.
 //
-// Promoted out of qwm_load so every client of the service layer — the
-// load generator, the shard router's per-request calls, and the fleet
-// supervisor's restart loop — retries transient failures the same way:
+// Used by qwm_load to retry the protocol's transient error codes:
 // attempt k sleeps backoff_ms * 2^min(k, max_exponent) * [0.5, 1.5),
 // with the jitter drawn from a caller-owned splitmix64 stream so
 // concurrent retriers decorrelate instead of re-stampeding the target,

@@ -1,7 +1,8 @@
-// Graceful degradation at the service boundary: injected request faults
+// Graceful degradation at the service layer: injected request faults
 // (slow, failed, malformed frame), the per-request solve deadline, and
 // the OK DEGRADED tagging of answers that rest on fallback-ladder
-// results — plus the STATS counters that make all of it observable.
+// results — plus the STATS counters that make all of it observable, and
+// the fault-plan grammar behind qwm_serve --fault-spec.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -144,6 +145,49 @@ TEST(DegradedService, StreamSessionSurvivesInjectedFaults) {
     EXPECT_TRUE(is_ok(line) || is_err(line)) << line;
   }
   EXPECT_EQ(lines, 6);
+}
+
+TEST(FaultPlanGrammar, ParsesProcessLevelSites) {
+  support::FaultPlan plan;
+  std::string error;
+  ASSERT_TRUE(support::parse_fault_plan(
+      "seed=7,slow_request:start=5:count=1:magnitude=50,"
+      "fail_request:period=3,malformed_frame:one_in=4:max_rung=0",
+      &plan, &error))
+      << error;
+  EXPECT_EQ(plan.seed, 7u);
+  ASSERT_EQ(plan.rules.size(), 3u);
+  EXPECT_EQ(plan.rules[0].site, FaultSite::kSlowRequest);
+  EXPECT_EQ(plan.rules[0].start, 5u);
+  EXPECT_EQ(plan.rules[0].count, 1u);
+  EXPECT_EQ(plan.rules[0].magnitude, 50.0);
+  EXPECT_EQ(plan.rules[1].site, FaultSite::kFailRequest);
+  EXPECT_EQ(plan.rules[1].period, 3u);
+  EXPECT_EQ(plan.rules[2].site, FaultSite::kMalformedFrame);
+  EXPECT_EQ(plan.rules[2].one_in, 4u);
+  EXPECT_EQ(plan.rules[2].max_rung, 0);
+
+  // Reply-path sites no longer exist: the spec is refused, not ignored.
+  EXPECT_FALSE(support::parse_fault_plan("drop_connection:start=5", &plan,
+                                         &error));
+  EXPECT_EQ(error, "unknown fault site: drop_connection");
+  EXPECT_FALSE(support::parse_fault_plan("no_such_site", &plan, &error));
+  EXPECT_FALSE(support::parse_fault_plan("slow_request:bogus=1", &plan, &error));
+}
+
+TEST(FaultPlanGrammar, ParsedPlanArmsTheGlobalPlan) {
+  // What qwm_serve --fault-spec does: parse, then arm process-wide.
+  FaultPlan plan;
+  std::string error;
+  ASSERT_TRUE(support::parse_fault_plan("fail_request:count=1", &plan, &error))
+      << error;
+  Server server;
+  ScopedFaultPlan armed{plan};
+  EXPECT_TRUE(is_err(server.handle_line("STATS"), "INJECTED"));
+  EXPECT_TRUE(is_ok(server.handle_line("STATS")));
+  EXPECT_EQ(support::fault_counters()
+                .fired[static_cast<int>(FaultSite::kFailRequest)],
+            1u);
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 #      layer —
 # plus a service smoke stage driving the qwm_serve daemon over both
 # transports (scripted stdio exchange; TCP round with qwm_load), a
+# crash/replay smoke (kill -9 the server, restart it on the same port,
+# replay LOAD + mutations, require byte-identical replies), a
 # deterministic perf-regression smoke comparing the pinned counter
 # workloads of bench_micro_kernels and bench_scale_sta against
 # tools/perf_budget.json, a scale smoke (full STA of a 10^5-stage
@@ -87,93 +89,70 @@ wait "$serve_pid" || { echo "qwm_serve exited non-zero"; exit 1; }
 grep -q "clean shutdown" "$smoke_dir/serve.log" || { echo "qwm_serve: no clean shutdown"; exit 1; }
 echo "service smoke passed"
 
-echo "== sharded service smoke (qwm_router: degrade + reconverge) =="
-# A 12-stage chain so every shard of a 3-way level-major split owns a
-# real cone; qwm_load --verify --no-cache re-times every answered net in
-# a single-process engine, so "mismatches: 0" is the bit-exactness gate
-# for the scatter-gather data plane.
+echo "== crash/replay smoke (kill -9 qwm_serve, restart, replay) =="
+# A killed server is restored by restarting it on the same port and
+# replaying LOAD plus the same mutations in order. The epoch is a pure
+# count of LOAD and mutations, and the replay reproduces the memo cache's
+# history, so the restarted server must answer byte-identically -- with
+# the cache on (the identical chains are memo twins) and the deps
+# schedule at 4 lanes.
 {
-  echo "ci sharded smoke chain"
+  echo "ci crash/replay deck: two pairs of identical six-inverter chains"
   echo "vdd vdd 0 3.3"
   echo "vin in 0 0"
-  prev=in
-  for i in $(seq 0 11); do
-    out="s$((i + 1))"; [[ "$i" == 11 ]] && out=out
-    echo "mn$i $out $prev 0 0 nmos W=1.5u L=0.35u"
-    echo "mp$i $out $prev vdd vdd pmos W=3u L=0.35u"
-    prev=$out
+  for c in 0 1 2 3; do
+    prev=in
+    for k in 1 2 3 4 5 6; do
+      out="c${c}_$k"
+      echo "mn${c}_$k $out $prev 0 0 nmos W=$((c / 2 + 2))u L=0.35u"
+      echo "mp${c}_$k $out $prev vdd vdd pmos W=$((c / 2 * 2 + 4))u L=0.35u"
+      prev=$out
+    done
+    echo "cl$c $prev 0 $((c / 2 * 10 + 10))f"
   done
-  echo "cl out 0 20f"
   echo ".end"
-} > "$smoke_dir/shard_chain.sp"
-json_field() {  # json_field <file> <key> -> value (integers only)
-  python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))[sys.argv[2]])' "$1" "$2"
-}
-
-# Phase A: restarts disabled -- killing a shard must degrade its cone
-# (OK DEGRADED from the replica), never produce hard errors.
-./build/tools/qwm_router --shards 3 --port 0 --port-file "$smoke_dir/router_a.port" \
-    --run-dir "$smoke_dir/run_a" --deck "$smoke_dir/shard_chain.sp" \
-    --no-restart --supervise-ms 100 --suspect-after 1 --down-after 1 \
-    2> "$smoke_dir/router_a.log" &
-router_a=$!
-for _ in $(seq 100); do [[ -s "$smoke_dir/router_a.port" ]] && break; sleep 0.1; done
-[[ -s "$smoke_dir/router_a.port" ]] || { echo "qwm_router (A) did not write its port"; exit 1; }
-./build/tools/qwm_load --port "$(cat "$smoke_dir/router_a.port")" \
-    --deck "$smoke_dir/shard_chain.sp" --no-load --clients 2 --requests 40 \
-    --retries 2 --verify --no-cache --json > "$smoke_dir/shard_base.json"
-[[ $(json_field "$smoke_dir/shard_base.json" mismatches) == 0 ]] \
-    || { echo "sharded smoke: baseline fleet answers diverge from the engine"; exit 1; }
-kill -9 "$(cat "$smoke_dir/run_a/shard1.pid")"
-sleep 0.5  # let a supervisor probe pass see the corpse
-./build/tools/qwm_load --port "$(cat "$smoke_dir/router_a.port")" \
-    --deck "$smoke_dir/shard_chain.sp" --no-load --clients 2 --requests 40 \
-    --retries 2 --json > "$smoke_dir/shard_kill.json"
-[[ $(json_field "$smoke_dir/shard_kill.json" degraded_ok) -gt 0 ]] \
-    || { echo "sharded smoke: no degraded answers after killing shard 1"; exit 1; }
-[[ $(json_field "$smoke_dir/shard_kill.json" hard_err) == 0 ]] \
-    || { echo "sharded smoke: hard errors during degraded operation"; exit 1; }
-./build/tools/qwm_load --port "$(cat "$smoke_dir/router_a.port")" \
-    --deck "$smoke_dir/shard_chain.sp" --no-load --requests 1 --shutdown \
-    --json > /dev/null
-wait "$router_a" || { echo "qwm_router (A) exited non-zero"; exit 1; }
-
-# Phase B: supervision on -- the restarted shard re-warms from the
-# mutation log and the fleet reconverges bit-identically.
-./build/tools/qwm_router --shards 3 --port 0 --port-file "$smoke_dir/router_b.port" \
-    --run-dir "$smoke_dir/run_b" --deck "$smoke_dir/shard_chain.sp" \
-    --supervise-ms 100 --suspect-after 1 --down-after 1 \
-    2> "$smoke_dir/router_b.log" &
-router_b=$!
-for _ in $(seq 100); do [[ -s "$smoke_dir/router_b.port" ]] && break; sleep 0.1; done
-[[ -s "$smoke_dir/router_b.port" ]] || { echo "qwm_router (B) did not write its port"; exit 1; }
-kill -9 "$(cat "$smoke_dir/run_b/shard2.pid")"
-python3 - "$smoke_dir/router_b.port" <<'EOF' \
-    || { echo "sharded smoke: fleet did not reconverge to healthy"; exit 1; }
-import socket, sys, time
-port = int(open(sys.argv[1]).read())
-deadline = time.time() + 20
-while time.time() < deadline:
-    with socket.create_connection(("127.0.0.1", port), timeout=5) as s:
-        f = s.makefile("rw")
-        f.write("HEALTH\n"); f.flush()
-        line = f.readline()
-    if "states=healthy,healthy,healthy" in line:
-        sys.exit(0)
-    time.sleep(0.2)
-sys.exit(1)
+} > "$smoke_dir/replay.sp"
+replay_session() {  # replay_session <port> <transcript> [--shutdown]
+  python3 - "$1" "$smoke_dir/replay.sp" "$2" "${@:3}" <<'EOF'
+import socket, sys
+port, deck, out = int(sys.argv[1]), sys.argv[2], sys.argv[3]
+nets = ["in"] + ["c%d_%d" % (c, k) for c in range(4) for k in range(1, 7)]
+with socket.create_connection(("127.0.0.1", port), timeout=30) as s:
+    f = s.makefile("rw")
+    def ask(line):
+        f.write(line + "\n"); f.flush()
+        return f.readline().rstrip("\n")
+    replies = [ask("LOAD " + deck)]
+    for req in ["RESIZE 5 0 2.5u", "UPDATE", "RESIZE 17 1 6u", "UPDATE"]:
+        replies.append(ask(req))
+    replies += [ask("ARRIVAL " + n) for n in nets]
+    replies.append(ask("CRITPATH"))
+    if len(sys.argv) > 4:
+        ask("SHUTDOWN")
+open(out, "w").write("\n".join(replies) + "\n")
 EOF
-./build/tools/qwm_load --port "$(cat "$smoke_dir/router_b.port")" \
-    --deck "$smoke_dir/shard_chain.sp" --no-load --clients 2 --requests 40 \
-    --retries 2 --verify --no-cache --shutdown --json > "$smoke_dir/shard_heal.json"
-[[ $(json_field "$smoke_dir/shard_heal.json" mismatches) == 0 ]] \
-    || { echo "sharded smoke: post-restart answers diverge from the engine"; exit 1; }
-[[ $(json_field "$smoke_dir/shard_heal.json" degraded_ok) == 0 ]] \
-    || { echo "sharded smoke: degraded answers after reconvergence"; exit 1; }
-wait "$router_b" || { echo "qwm_router (B) exited non-zero"; exit 1; }
-grep -q "clean shutdown" "$smoke_dir/router_b.log" \
-    || { echo "qwm_router (B): no clean shutdown"; exit 1; }
-echo "sharded service smoke passed"
+}
+start_replay_server() {  # start_replay_server <port> <log>; sets replay_pid
+  rm -f "$smoke_dir/replay.port"
+  ./build/tools/qwm_serve --port "$1" --port-file "$smoke_dir/replay.port" \
+      --sta-threads 4 --schedule deps 2> "$2" &
+  replay_pid=$!
+  for _ in $(seq 50); do [[ -s "$smoke_dir/replay.port" ]] && break; sleep 0.1; done
+  [[ -s "$smoke_dir/replay.port" ]] || { echo "crash/replay smoke: qwm_serve did not come up"; exit 1; }
+}
+start_replay_server 0 "$smoke_dir/replay_a.log"
+replay_port=$(cat "$smoke_dir/replay.port")
+replay_session "$replay_port" "$smoke_dir/before.txt"
+[[ -z $(grep -v '^OK' "$smoke_dir/before.txt") ]] \
+    || { echo "crash/replay smoke: non-OK reply before the crash"; exit 1; }
+kill -9 "$replay_pid"
+wait "$replay_pid" 2>/dev/null || true
+start_replay_server "$replay_port" "$smoke_dir/replay_b.log"
+replay_session "$replay_port" "$smoke_dir/after.txt" --shutdown
+wait "$replay_pid" || { echo "crash/replay smoke: restarted qwm_serve exited non-zero"; exit 1; }
+cmp "$smoke_dir/before.txt" "$smoke_dir/after.txt" \
+    || { echo "crash/replay smoke: replies differ after restart + replay"; exit 1; }
+echo "crash/replay smoke passed ($(wc -l < "$smoke_dir/after.txt") replies byte-identical)"
 
 echo "== perf smoke (work-counter budget) =="
 # Counters (Newton iterations, device evaluations, workspace growth) are

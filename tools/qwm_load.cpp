@@ -10,26 +10,18 @@
 //   --verify         parse + analyze the deck locally (single-threaded
 //                    engine) and require every base-epoch ARRIVAL/SLACK
 //                    response to be bit-identical to the local answer
-//   --no-cache       run the --verify reference engine with the
-//                    stage-eval memo cache off — required when verifying
-//                    against a sharded qwm_router fleet, whose shards run
-//                    cache-off so answers are slice-invariant
 //   --no-load        skip sending LOAD (daemon already has the deck)
 //   --shutdown       send SHUTDOWN when done
 //   --seed S         workload RNG seed                    (default 1)
 //   --retries N      bounded retries on transient error codes (the
-//                    protocol's retryable set: BUSY, DEADLINE, DEGRADED,
-//                    SHARD_DOWN) with jittered exponential backoff from
+//                    protocol's retryable set: BUSY, DEADLINE, DEGRADED)
+//                    with jittered exponential backoff from
 //                    support/retry.h                      (default 0)
 //   --backoff-ms X   base backoff; attempt k sleeps
 //                    X * 2^k * [0.5, 1.5) ms              (default 5)
-//   --hedge-ms X     client-side bounded hedging: an ARRIVAL/SLACK read
-//                    not answered within X ms is re-sent on a second
-//                    connection (one hedge per request) and the primary
-//                    connection is resynced              (default off)
 //   --json           print the summary as one JSON object on stdout
-//                    (attempts, retries by error code, hedge wins,
-//                    latency percentiles) instead of the text report
+//                    (attempts, retries by error code, latency
+//                    percentiles) instead of the text report
 //
 // Workload mix per reader: 70% ARRIVAL, 15% SLACK, 10% CRITPATH,
 // 5% STATS, over the design's stage-output and primary-input nets.
@@ -39,7 +31,6 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -73,19 +64,16 @@ int usage() {
                "[--requests M] [--period v]\n"
                "                [--what-if K] [--verify] [--no-load] "
                "[--shutdown] [--seed S]\n"
-               "                [--retries N] [--backoff-ms X] "
-               "[--hedge-ms X] [--json]\n");
+               "                [--retries N] [--backoff-ms X] [--json]\n");
   return 2;
 }
 
 /// Minimal line-oriented TCP client.
 struct Client {
   int fd = -1;
-  int connected_port = -1;
   std::string buf;
 
   bool connect_to(int port) {
-    connected_port = port;
     fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0) return false;
     sockaddr_in addr{};
@@ -99,25 +87,6 @@ struct Client {
       return false;
     }
     return true;
-  }
-
-  /// Bound how long recv_line may block (0 restores blocking reads).
-  void set_recv_timeout_ms(double ms) {
-    timeval tv{};
-    tv.tv_sec = static_cast<time_t>(ms / 1000.0);
-    tv.tv_usec =
-        static_cast<suseconds_t>((ms - 1000.0 * static_cast<double>(tv.tv_sec)) *
-                                 1000.0);
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-  }
-
-  /// Drop the connection (abandoning any in-flight request — the strict
-  /// request/response protocol has no way to cancel) and dial again.
-  bool reconnect() {
-    if (fd >= 0) ::close(fd);
-    fd = -1;
-    buf.clear();
-    return connect_to(connected_port);
   }
 
   bool send_line(const std::string& line) {
@@ -178,22 +147,18 @@ struct Expected {
 struct ReaderResult {
   std::vector<double> latencies_us;
   std::uint64_t sent = 0, ok = 0, busy = 0, deadline = 0, hard_err = 0;
-  std::uint64_t shard_down = 0;    ///< ERR SHARD_DOWN left after retries
   std::uint64_t degraded_ok = 0;   ///< "OK DEGRADED" answers accepted
   std::uint64_t degraded_err = 0;  ///< ERR DEGRADED left after retries
   std::uint64_t retries = 0;       ///< backoff retries performed
   /// Retries classified by the error code that triggered them.
   std::map<std::string, std::uint64_t> retries_by_code;
-  std::uint64_t hedged = 0;      ///< hedge connections fired
-  std::uint64_t hedge_wins = 0;  ///< hedge answered before the primary
   std::uint64_t verified = 0, mismatches = 0;
   bool transport_ok = true;
 };
 
 /// Round trip with bounded retries and jittered exponential backoff from
 /// support/retry.h; retryability comes from the protocol's shared
-/// err_code() classifier (BUSY / DEADLINE / DEGRADED / SHARD_DOWN), the
-/// same set the router retries internally.
+/// err_code() classifier (BUSY / DEADLINE / DEGRADED).
 std::string round_trip_retry(Client* c, const std::string& req,
                              const support::RetryPolicy& policy,
                              std::uint64_t* rng, ReaderResult* r) {
@@ -208,24 +173,6 @@ std::string round_trip_retry(Client* c, const std::string& req,
     ++r->retries_by_code[code];
     resp = c->round_trip(req);
   }
-  return resp;
-}
-
-/// One hedged read: give the primary connection hedge_ms to answer; on
-/// expiry fire the same request once on the hedge connection (bounded —
-/// one hedge per request, never a cascade) and resync the primary, whose
-/// abandoned in-flight reply would otherwise desequence the stream.
-std::string round_trip_hedged(Client* primary, Client* hedge,
-                              const std::string& req, double hedge_ms,
-                              ReaderResult* r) {
-  primary->set_recv_timeout_ms(hedge_ms);
-  std::string resp = primary->round_trip(req);
-  primary->set_recv_timeout_ms(0);
-  if (!resp.empty()) return resp;
-  ++r->hedged;
-  if (!primary->reconnect()) return "";
-  resp = hedge->round_trip(req);
-  if (!resp.empty()) ++r->hedge_wins;
   return resp;
 }
 
@@ -246,12 +193,10 @@ std::string arrival_fields_of(const sta::NetTiming& t) {
 int main(int argc, char** argv) {
   int port = -1, clients = 8, requests = 200, what_if = 0;
   support::RetryPolicy retry_policy;
-  double hedge_ms = 0.0;
   bool json = false;
   std::uint64_t seed = 1;
   double period = 2e-9;
-  bool verify = false, verify_cache = true, do_load = true,
-       do_shutdown = false;
+  bool verify = false, do_load = true, do_shutdown = false;
   std::string deck;
 
   for (int i = 1; i < argc; ++i) {
@@ -266,7 +211,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--what-if" && i + 1 < argc)
       what_if = std::atoi(argv[++i]);
     else if (arg == "--verify") verify = true;
-    else if (arg == "--no-cache") verify_cache = false;
     else if (arg == "--no-load") do_load = false;
     else if (arg == "--shutdown") do_shutdown = true;
     else if (arg == "--seed" && i + 1 < argc)
@@ -275,13 +219,10 @@ int main(int argc, char** argv) {
       retry_policy.retries = std::atoi(argv[++i]);
     else if (arg == "--backoff-ms" && i + 1 < argc)
       retry_policy.backoff_ms = std::atof(argv[++i]);
-    else if (arg == "--hedge-ms" && i + 1 < argc)
-      hedge_ms = std::atof(argv[++i]);
     else if (arg == "--json") json = true;
     else return usage();
   }
-  if (retry_policy.retries < 0 || retry_policy.backoff_ms < 0.0 ||
-      hedge_ms < 0.0)
+  if (retry_policy.retries < 0 || retry_policy.backoff_ms < 0.0)
     return usage();
   if (port < 0 || deck.empty() || clients < 1 || requests < 1) return usage();
 
@@ -330,7 +271,6 @@ int main(int argc, char** argv) {
   if (verify) {
     sta::StaOptions opt;
     opt.threads = 1;
-    opt.use_cache = verify_cache;
     sta::StaEngine ref(design, models, opt);
     ref.run();
     const auto slacks = ref.compute_slacks(period);
@@ -381,8 +321,8 @@ int main(int argc, char** argv) {
   for (int ci = 0; ci < clients; ++ci) {
     threads.emplace_back([&, ci] {
       ReaderResult& r = results[static_cast<std::size_t>(ci)];
-      Client c, hedge;
-      if (!c.connect_to(port) || (hedge_ms > 0.0 && !hedge.connect_to(port))) {
+      Client c;
+      if (!c.connect_to(port)) {
         r.transport_ok = false;
         return;
       }
@@ -395,14 +335,9 @@ int main(int argc, char** argv) {
         else if (dice < 85) req = "SLACK " + net + " " + period_str;
         else if (dice < 95) req = "CRITPATH";
         else req = "STATS";
-        // Hedge only the point reads (ARRIVAL/SLACK): they are cheap to
-        // duplicate and dominate the mix; hedged requests skip the retry
-        // ladder (the hedge already is the second attempt).
-        const bool hedgeable = hedge_ms > 0.0 && dice < 85;
         const auto t0 = Clock::now();
         const std::string resp =
-            hedgeable ? round_trip_hedged(&c, &hedge, req, hedge_ms, &r)
-                      : round_trip_retry(&c, req, retry_policy, &rng, &r);
+            round_trip_retry(&c, req, retry_policy, &rng, &r);
         const auto t1 = Clock::now();
         if (resp.empty()) {
           r.transport_ok = false;
@@ -419,7 +354,6 @@ int main(int argc, char** argv) {
           if (code == "BUSY") ++r.busy;
           else if (code == "DEADLINE") ++r.deadline;
           else if (code == "DEGRADED") ++r.degraded_err;
-          else if (code == "SHARD_DOWN") ++r.shard_down;
           else ++r.hard_err;
         }
 
@@ -510,14 +444,11 @@ int main(int argc, char** argv) {
     total.busy += r.busy;
     total.deadline += r.deadline;
     total.hard_err += r.hard_err;
-    total.shard_down += r.shard_down;
     total.degraded_ok += r.degraded_ok;
     total.degraded_err += r.degraded_err;
     total.retries += r.retries;
     for (const auto& [code, n] : r.retries_by_code)
       total.retries_by_code[code] += n;
-    total.hedged += r.hedged;
-    total.hedge_wins += r.hedge_wins;
     total.verified += r.verified;
     total.mismatches += r.mismatches;
     transport_ok = transport_ok && r.transport_ok;
@@ -532,8 +463,8 @@ int main(int argc, char** argv) {
   };
 
   if (json) {
-    // One-object machine-readable summary: the retry/backoff/hedge
-    // observability feed for scripts and the CI failover smoke.
+    // One-object machine-readable summary: the retry/backoff
+    // observability feed for scripts.
     std::string codes;
     for (const auto& [code, n] : total.retries_by_code) {
       if (!codes.empty()) codes += ", ";
@@ -547,16 +478,12 @@ int main(int argc, char** argv) {
                 (unsigned long long)total.degraded_ok);
     std::printf(
         "  \"busy\": %llu, \"deadline\": %llu, \"degraded_err\": %llu, "
-        "\"shard_down\": %llu, \"hard_err\": %llu,\n",
+        "\"hard_err\": %llu,\n",
         (unsigned long long)total.busy, (unsigned long long)total.deadline,
         (unsigned long long)total.degraded_err,
-        (unsigned long long)total.shard_down,
         (unsigned long long)total.hard_err);
     std::printf("  \"retries\": %llu, \"retries_by_code\": {%s},\n",
                 (unsigned long long)total.retries, codes.c_str());
-    std::printf("  \"hedged\": %llu, \"hedge_wins\": %llu,\n",
-                (unsigned long long)total.hedged,
-                (unsigned long long)total.hedge_wins);
     std::printf("  \"wall_s\": %.6f, \"qps\": %.1f,\n", wall_s,
                 static_cast<double>(total.sent) / wall_s);
     std::printf(
@@ -577,21 +504,15 @@ int main(int argc, char** argv) {
                 (unsigned long long)total.deadline,
                 (unsigned long long)total.hard_err);
     if (retry_policy.retries > 0 || total.degraded_ok > 0 ||
-        total.degraded_err > 0 || total.shard_down > 0) {
-      std::printf(
-          "  degraded_ok=%llu degraded_err=%llu shard_down=%llu retries=%llu",
-          (unsigned long long)total.degraded_ok,
-          (unsigned long long)total.degraded_err,
-          (unsigned long long)total.shard_down,
-          (unsigned long long)total.retries);
+        total.degraded_err > 0) {
+      std::printf("  degraded_ok=%llu degraded_err=%llu retries=%llu",
+                  (unsigned long long)total.degraded_ok,
+                  (unsigned long long)total.degraded_err,
+                  (unsigned long long)total.retries);
       for (const auto& [code, n] : total.retries_by_code)
         std::printf(" retry_%s=%llu", code.c_str(), (unsigned long long)n);
       std::printf("\n");
     }
-    if (total.hedged > 0)
-      std::printf("  hedged=%llu hedge_wins=%llu\n",
-                  (unsigned long long)total.hedged,
-                  (unsigned long long)total.hedge_wins);
     std::printf("  wall %.3f s -> %.0f QPS\n", wall_s,
                 static_cast<double>(total.sent) / wall_s);
     std::printf("  latency us: p50 %.1f  p99 %.1f  max %.1f\n", pct(0.50),

@@ -21,22 +21,21 @@
 //   --corners           characterize fast/slow corner models at LOAD and
 //                       propagate per-corner arrival lanes (enables the
 //                       CORNERS verb)
-//   --shard K/N         serve shard K of an N-shard fleet: LOAD analyzes
-//                       only the owned slice of the stage graph, exports
-//                       BOUNDARY arrivals, ingests SETARR injections;
-//                       SLACK/CORNERS are refused (ask a replica)
 //   --fault-spec SPEC   arm a deterministic fault plan in this process
 //                       (see support/fault_injection.h parse_fault_plan);
-//                       e.g. "drop_connection:start=5:count=1" — the
-//                       crash-injection knob for fleet failover tests
+//                       e.g. "fail_request:start=5:count=1"
 //
 // Protocol (one line per request/response — see src/qwm/service/protocol.h):
 //   LOAD <deck.sp> | ARRIVAL <net> | CORNERS <net> [period] |
-//   SLACK <net> <period> | CRITPATH | RESIZE <stage> <edge> <width> |
-//   UPDATE | STATS | SHUTDOWN
+//   SLACK <net> <period> | CRITPATH [net [R|F]] |
+//   RESIZE <stage> <edge> <width> | UPDATE | STATS | SHUTDOWN
+//
+// A killed server is restored by starting a new one on the same port
+// (the listener sets SO_REUSEADDR) and replaying LOAD plus the same
+// RESIZE/UPDATE sequence in order: the epoch counts exactly those
+// requests, so the restarted server answers byte-identically.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -54,7 +53,7 @@ int usage() {
                "[--solve-deadline-ms X]\n"
                "                 [--sta-threads N] [--schedule levels|deps] "
                "[--no-cache] [--corners]\n"
-               "                 [--shard K/N] [--fault-spec SPEC]\n");
+               "                 [--fault-spec SPEC]\n");
   return 2;
 }
 
@@ -115,22 +114,6 @@ int main(int argc, char** argv) {
       opt.db.sta.use_cache = false;
     } else if (arg == "--corners") {
       opt.db.corners = true;
-    } else if (arg == "--shard" && i + 1 < argc) {
-      const std::string spec = argv[++i];
-      const std::size_t slash = spec.find('/');
-      if (slash == std::string::npos) {
-        std::fprintf(stderr, "bad --shard value (want K/N): %s\n",
-                     spec.c_str());
-        return 2;
-      }
-      opt.db.shard_index = std::atoi(spec.substr(0, slash).c_str());
-      opt.db.shard_count = std::atoi(spec.substr(slash + 1).c_str());
-      if (opt.db.shard_count < 1 || opt.db.shard_index < 0 ||
-          opt.db.shard_index >= opt.db.shard_count) {
-        std::fprintf(stderr, "bad --shard value (want 0<=K<N): %s\n",
-                     spec.c_str());
-        return 2;
-      }
     } else if (arg == "--fault-spec" && i + 1 < argc) {
       std::string error;
       if (!support::parse_fault_plan(argv[++i], &fault_plan(), &error)) {
@@ -145,10 +128,7 @@ int main(int argc, char** argv) {
 
   service::Server server(opt);
   if (!fault_plan().empty()) {
-    // Request-level sites fire through the global plan; the reply-path
-    // sites (drop/stall/corrupt) live in the transport's own hook.
     support::arm_fault_plan(&fault_plan());
-    server.fault_hook().set_plan(fault_plan());
     std::fprintf(stderr, "qwm_serve: fault plan armed (%zu rules)\n",
                  fault_plan().rules.size());
   }

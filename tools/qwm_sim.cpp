@@ -135,11 +135,27 @@ void run_sta(qwm::circuit::PartitionedDesign design,
               ss.barrier_syncs, ss.tasks_enqueued, ss.ready_hwm,
               ss.chain_edges, ss.steal_count, ss.classify_lock_waits);
 
+  // Arrivals produced by (or downstream of) the solver's fallback ladder,
+  // counted per stage-output edge; the same sticky flag ARRIVAL reports
+  // as rise_degraded/fall_degraded.
+  std::size_t degraded = 0;
+  for (const auto& info : sta.design().stages)
+    for (auto n : info.output_nets) {
+      const sta::NetTiming& t = sta.timing(n);
+      degraded += (t.rise.valid() && t.rise.degraded) +
+                  (t.fall.valid() && t.fall.degraded);
+    }
+  std::printf("degraded_arrivals=%zu\n", degraded);
+
   std::printf("\ncritical path:\n");
-  for (const auto& step : sta.critical_path())
-    std::printf("  %-12s %s  %9.2f ps%s\n", nl.net_name(step.net).c_str(),
+  for (const auto& step : sta.critical_path()) {
+    const sta::NetTiming& t = sta.timing(step.net);
+    const bool step_degraded = step.rising ? t.rise.degraded : t.fall.degraded;
+    std::printf("  %-12s %s  %9.2f ps%s%s\n", nl.net_name(step.net).c_str(),
                 step.rising ? "rise" : "fall", step.arrival * 1e12,
-                step.stage < 0 ? "  (primary input)" : "");
+                step.stage < 0 ? "  (primary input)" : "",
+                step_degraded ? "  (degraded)" : "");
+  }
 
   if (period > 0.0) {
     std::printf("\nslacks @ period %.2f ps:\n", period * 1e12);
