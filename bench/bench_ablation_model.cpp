@@ -38,8 +38,7 @@ int main() {
   std::printf("%-10s %7s %9s %10s %10s\n", "model", "tails", "regions",
               "delay[ps]", "error");
   for (const auto model :
-       {core::RegionModel::quadratic, core::RegionModel::linear,
-        core::RegionModel::cubic}) {
+       {core::RegionModel::quadratic, core::RegionModel::linear}) {
     for (const int tails : {3, 6, 12, 27}) {
       core::QwmOptions o;
       o.model = model;
@@ -47,9 +46,8 @@ int main() {
       for (int i = 0; i < tails; ++i)
         o.tail_fractions.push_back(0.95 - 0.92 * (i + 0.5) / tails);
       const auto st = core::evaluate_stage(stage, inputs, ms, o);
-      const char* mname = model == core::RegionModel::quadratic ? "quadratic"
-                          : model == core::RegionModel::linear  ? "linear"
-                                                                : "cubic(r=2)";
+      const char* mname =
+          model == core::RegionModel::quadratic ? "quadratic" : "linear";
       if (!st.ok || !st.delay) {
         std::printf("%-10s %7d   (failed: %s)\n", mname, tails,
                     st.error.c_str());

@@ -280,7 +280,7 @@ int run_counter_mode(const KernelFlags& kf) {
       {"decoder_device_evals", qs.device_evals},
       // Batched-kernel occupancy: ceil-width group count and useful lanes
       // per batch call. Computed from batch sizes with the fixed logical
-      // width, so identical on the scalar and AVX2 backends alike.
+      // width, so identical on every host.
       {"decoder_simd_batches", qs.simd_batches},
       {"decoder_simd_lanes_filled", qs.simd_lanes_filled},
       {"decoder_qwm_runs", cache.misses},

@@ -5,7 +5,10 @@
 // two on every run. Reports wall clock per schedule plus the scheduler
 // work counters (barrier syncs, tasks enqueued, ready-queue high-water
 // mark, memo-twin chain edges), which are machine-deterministic and
-// budget-pinned for the CI perf smoke.
+// budget-pinned for the CI perf smoke, and the fallback-ladder attribution
+// of every run: region objectives resolved by the damped-NR and bisection
+// rungs, whole-path SPICE fallbacks, and the stage-output arrivals marked
+// degraded (the sticky flag ARRIVAL reports).
 //
 //   bench_scale_sta [--threads N | --threads N1,N2,...] [--smoke]
 //                   [--counters-only] [--json FILE] [--budget FILE]
@@ -14,13 +17,14 @@
 //                    comparison, the 10^4-stage design is re-analysed
 //                    under the deps schedule at every listed lane count,
 //                    emitting one JSON row per point (wall, steal_count,
-//                    ready_hwm, classify_lock_waits) and checking every
-//                    point's arrivals bitwise against the first
+//                    ready_hwm, classify_lock_waits, rung counts) and
+//                    checking every point's arrivals bitwise against the
+//                    first
 //   --smoke          run the 10^4-stage design only (CI-sized)
 //   --counters-only  skip the timed medians; counters and the bitwise
 //                    equivalence check still run
-//   --budget FILE    compare the 10^4-stage scheduler counters against
-//                    tools/perf_budget.json; exit 1 on excess
+//   --budget FILE    compare the 10^4-stage scheduler and rung counters
+//                    against tools/perf_budget.json; exit 1 on excess
 //
 // Exit status is non-zero if any design's arrivals differ between the
 // schedulers — the harness doubles as an end-to-end equivalence check.
@@ -105,6 +109,36 @@ bool arrivals_identical(const sta::StaEngine& a, const sta::StaEngine& b) {
   return a.worst_arrival() == b.worst_arrival();
 }
 
+/// Fallback-ladder attribution of one analysis.
+struct Rungs {
+  std::size_t damped = 0;
+  std::size_t bisect = 0;
+  std::size_t spice = 0;
+  std::size_t degraded_arrivals = 0;  ///< stage-output edges marked degraded
+};
+
+Rungs rungs_of(const sta::StaEngine& e) {
+  Rungs r;
+  const core::QwmStats& qs = e.qwm_stats();
+  r.damped = qs.fallback_counts[core::kRungDamped];
+  r.bisect = qs.fallback_counts[core::kRungBisect];
+  r.spice = qs.fallback_counts[core::kRungSpice];
+  for (const auto& info : e.design().stages)
+    for (netlist::NetId n : info.output_nets) {
+      const sta::NetTiming& t = e.timing(n);
+      r.degraded_arrivals += (t.rise.valid() && t.rise.degraded) +
+                             (t.fall.valid() && t.fall.degraded);
+    }
+  return r;
+}
+
+bench::JsonObject& add_rungs(bench::JsonObject& o, const Rungs& r) {
+  return o.integer("rung_damped", r.damped)
+      .integer("rung_bisect", r.bisect)
+      .integer("rung_spice", r.spice)
+      .integer("degraded_arrivals", r.degraded_arrivals);
+}
+
 struct ScaleResult {
   std::size_t stages = 0;
   std::size_t evals = 0;
@@ -113,6 +147,7 @@ struct ScaleResult {
   bool identical = false;
   sta::ScheduleStats levels_stats;
   sta::ScheduleStats deps_stats;
+  Rungs rungs;  ///< of the deps run
 };
 
 ScaleResult run_size(std::size_t stages, const ScaleFlags& f) {
@@ -158,6 +193,7 @@ ScaleResult run_size(std::size_t stages, const ScaleFlags& f) {
     deps.run();
   }
   r.deps_stats = deps.schedule_stats();
+  r.rungs = rungs_of(deps);
 
   r.identical = arrivals_identical(levels, deps);
   return r;
@@ -182,8 +218,9 @@ int run_sweep(const ScaleFlags& f, std::vector<std::string>* rows) {
   opt.cache.max_entries = std::size_t{1} << 21;
 
   std::printf("\nthread sweep: %zu-stage grid, deps schedule\n", kSweepStages);
-  std::printf("%-8s %11s %9s %9s %12s %5s\n", "threads", "wall", "steals",
-              "hwm", "lock_waits", "ident");
+  std::printf("%-8s %11s %9s %9s %12s %7s %7s %6s %9s %5s\n", "threads",
+              "wall", "steals", "hwm", "lock_waits", "damped", "bisect",
+              "spice", "degraded", "ident");
   std::unique_ptr<sta::StaEngine> ref;
   int rc = 0;
   for (const int t : f.sweep) {
@@ -200,18 +237,20 @@ int run_sweep(const ScaleFlags& f, std::vector<std::string>* rows) {
       std::fprintf(stderr, "FAIL: %d-lane sweep point disagrees\n", t);
       rc = 1;
     }
-    std::printf("%-8d %10.3fs %9zu %9zu %12zu %5s\n", t, wall,
-                st.steal_count, st.ready_hwm, st.classify_lock_waits,
+    const Rungs rg = rungs_of(*engine);
+    std::printf("%-8d %10.3fs %9zu %9zu %12zu %7zu %7zu %6zu %9zu %5s\n", t,
+                wall, st.steal_count, st.ready_hwm, st.classify_lock_waits,
+                rg.damped, rg.bisect, rg.spice, rg.degraded_arrivals,
                 ident ? "yes" : "NO");
-    rows->push_back(bench::JsonObject()
-                        .integer("sweep_stages", kSweepStages)
-                        .integer("threads", t)
-                        .num("deps_run_s", wall)
-                        .integer("steal_count", st.steal_count)
-                        .integer("ready_hwm", st.ready_hwm)
-                        .integer("classify_lock_waits", st.classify_lock_waits)
-                        .integer("bit_identical", ident ? 1 : 0)
-                        .str());
+    bench::JsonObject row;
+    row.integer("sweep_stages", kSweepStages)
+        .integer("threads", t)
+        .num("deps_run_s", wall)
+        .integer("steal_count", st.steal_count)
+        .integer("ready_hwm", st.ready_hwm)
+        .integer("classify_lock_waits", st.classify_lock_waits);
+    add_rungs(row, rg).integer("bit_identical", ident ? 1 : 0);
+    rows->push_back(row.str());
     if (!ref) ref = std::move(engine);
   }
   return rc;
@@ -227,8 +266,9 @@ int main(int argc, char** argv) {
 
   std::printf("Scale STA: generated grid designs, levels vs deps schedule "
               "(%d lanes)\n", f.threads);
-  std::printf("%-9s %9s %11s %11s %9s %9s %9s %11s %5s\n", "stages", "evals",
-              "levels", "deps", "barriers", "hwm", "chains", "enqueued",
+  std::printf("%-9s %9s %11s %11s %9s %9s %9s %11s %7s %7s %6s %9s %5s\n",
+              "stages", "evals", "levels", "deps", "barriers", "hwm",
+              "chains", "enqueued", "damped", "bisect", "spice", "degraded",
               "ident");
 
   std::vector<std::string> rows;
@@ -242,27 +282,28 @@ int main(int argc, char** argv) {
                    "FAIL: schedulers disagree on the %zu-stage design\n", n);
       rc = 1;
     }
-    std::printf("%-9zu %9zu %10.3fs %10.3fs %9zu %9zu %9zu %11zu %5s\n",
-                r.stages, r.evals, r.levels_s, r.deps_s,
-                r.levels_stats.barrier_syncs, r.deps_stats.ready_hwm,
-                r.deps_stats.chain_edges, r.deps_stats.tasks_enqueued,
-                r.identical ? "yes" : "NO");
-    rows.push_back(
-        bench::JsonObject()
-            .integer("stages", r.stages)
-            .integer("evals", r.evals)
-            .num("levels_run_s", r.levels_s)
-            .num("deps_run_s", r.deps_s)
-            .integer("levels", r.levels_stats.levels)
-            .integer("levels_barrier_syncs", r.levels_stats.barrier_syncs)
-            .integer("deps_barrier_syncs", r.deps_stats.barrier_syncs)
-            .integer("tasks_enqueued", r.deps_stats.tasks_enqueued)
-            .integer("ready_hwm", r.deps_stats.ready_hwm)
-            .integer("chain_edges", r.deps_stats.chain_edges)
-            .integer("steal_count", r.deps_stats.steal_count)
-            .integer("classify_lock_waits", r.deps_stats.classify_lock_waits)
-            .integer("bit_identical", r.identical ? 1 : 0)
-            .str());
+    std::printf(
+        "%-9zu %9zu %10.3fs %10.3fs %9zu %9zu %9zu %11zu %7zu %7zu %6zu %9zu "
+        "%5s\n",
+        r.stages, r.evals, r.levels_s, r.deps_s, r.levels_stats.barrier_syncs,
+        r.deps_stats.ready_hwm, r.deps_stats.chain_edges,
+        r.deps_stats.tasks_enqueued, r.rungs.damped, r.rungs.bisect,
+        r.rungs.spice, r.rungs.degraded_arrivals, r.identical ? "yes" : "NO");
+    bench::JsonObject row;
+    row.integer("stages", r.stages)
+        .integer("evals", r.evals)
+        .num("levels_run_s", r.levels_s)
+        .num("deps_run_s", r.deps_s)
+        .integer("levels", r.levels_stats.levels)
+        .integer("levels_barrier_syncs", r.levels_stats.barrier_syncs)
+        .integer("deps_barrier_syncs", r.deps_stats.barrier_syncs)
+        .integer("tasks_enqueued", r.deps_stats.tasks_enqueued)
+        .integer("ready_hwm", r.deps_stats.ready_hwm)
+        .integer("chain_edges", r.deps_stats.chain_edges)
+        .integer("steal_count", r.deps_stats.steal_count)
+        .integer("classify_lock_waits", r.deps_stats.classify_lock_waits);
+    add_rungs(row, r.rungs).integer("bit_identical", r.identical ? 1 : 0);
+    rows.push_back(row.str());
   }
 
   if (!f.sweep.empty() && run_sweep(f, &rows) != 0) rc = 1;
@@ -284,6 +325,13 @@ int main(int argc, char** argv) {
         // sharded queues or the claim table degenerated to a serial lock.
         {"scale10k_steal_count", ten_k.deps_stats.steal_count},
         {"scale10k_classify_lock_waits", ten_k.deps_stats.classify_lock_waits},
+        // Fallback-ladder attribution: upper bounds at the measured
+        // values, so a change that sends more of the design down the
+        // recovery rungs (or marks more arrivals degraded) fails here.
+        {"scale10k_rung_damped", ten_k.rungs.damped},
+        {"scale10k_rung_bisect", ten_k.rungs.bisect},
+        {"scale10k_rung_spice", ten_k.rungs.spice},
+        {"scale10k_degraded_arrivals", ten_k.rungs.degraded_arrivals},
     };
     std::string text;
     if (!bench::read_text_file(f.budget_path, &text)) return 1;

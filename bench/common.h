@@ -18,6 +18,7 @@
 
 #include "qwm/circuit/builders.h"
 #include "qwm/core/stage_eval.h"
+#include "qwm/core/workspace.h"
 #include "qwm/device/analytic_model.h"
 #include "qwm/device/model_set.h"
 #include "qwm/device/tabular_model.h"
@@ -339,8 +340,9 @@ inline ComparisonRow compare_stage(const std::string& name,
     return row;
   }
   row.qwm_delay = st.delay.value_or(0.0);
+  core::EvalWorkspace ws;
   row.qwm_s = time_seconds(
-      [&] { core::evaluate_path(st.problem, inputs, qwm_opt); });
+      [&] { core::evaluate_path(st.problem, inputs, qwm_opt, ws); });
 
   if (t_stop <= 0.0)
     t_stop = std::max(2.0 * st.qwm.critical_times.back(), 500e-12);

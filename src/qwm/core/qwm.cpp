@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <cstdio>
 
 #include "qwm/core/spice_fallback.h"
 #include "qwm/core/workspace.h"
@@ -87,11 +86,8 @@ class Engine {
   double batch_pm_ = 1.0;
   double batch_vdd_ = 0.0;
 
-  // Warm-start state: replay cursor into opt_.warm and the previous tail
-  // region's converged solution (stored in ws_.prev_tail).
+  // Warm-start state: replay cursor into opt_.warm.
   int trace_next_ = 0;
-  bool have_prev_tail_ = false;
-  int prev_tail_active_ = -1;
   /// Running region-length and alpha scales for cross-condition replay
   /// (negative = not yet primed). Both start from options.warm_scale — a
   /// first-order drive-ratio estimate (lengths scale by s, the ramp-rate
@@ -104,7 +100,7 @@ class Engine {
   double warm_alpha_run_ = -1.0;
   /// Active count at the last plain (depth-0 tail) solve_region commit,
   /// -1 when the incremental region-start currents in i_ are stale (after
-  /// a turn-on boundary, a sub-step, or a fallback/cubic commit). While
+  /// a turn-on boundary, a sub-step, or a fallback commit). While
   /// >= the next region's active count, i_ equals the device currents at
   /// the committed state to within the Newton tolerance, so a
   /// cross-corner replay region can skip the update_currents re-eval.
@@ -114,7 +110,7 @@ class Engine {
   /// (double the iterations, triple the backtracks) while this is set.
   bool damped_ = false;
 
-  /// Context of the r = 1 region solve in flight. Lives on the engine so
+  /// Context of the region solve in flight. Lives on the engine so
   /// the Newton callbacks capture only `this` (small enough for
   /// std::function's inline storage: no per-region heap traffic).
   struct RegionCtx {
@@ -155,9 +151,8 @@ class Engine {
   void record_region(double t0, double dt, int active,
                      const std::vector<double>& accel,
                      const std::vector<double>& slope);
-  /// warm_dt > 0 overrides the warm seed's region length (used by the
-  /// intra-path seed, whose alphas come from the previous region but
-  /// whose length estimate from the current state is better).
+  /// warm_dt > 0 overrides the warm seed's region length (cross-condition
+  /// replay rescales the recorded length onto the new time scale).
   /// warm_alpha_scale multiplies the seed's recorded alphas — the
   /// cross-condition mapping onto the new condition's current scale
   /// (1.0 = same-condition replay, seeded verbatim).
@@ -165,11 +160,6 @@ class Engine {
                     int target_node, double delta_guess,
                     const WarmTrace::Region* warm, double warm_dt = 0.0,
                     double warm_alpha_scale = 1.0);
-  /// The r = 2 generalization (paper's "r time points"): quadratic node
-  /// currents / cubic voltages, matched at the region midpoint and
-  /// endpoint. Dense per-region solve over 2*active+1 unknowns.
-  bool solve_region_cubic(int active, int boundary_elem, double v_target,
-                          int target_node, double delta_guess);
   /// solve_region with automatic bisection on failure: a region whose
   /// single end-point match will not converge (deep stiff-cluster tails,
   /// very long regions) is split at an intermediate voltage of the
@@ -187,14 +177,14 @@ class Engine {
   double estimate_delta(int active, int boundary_elem, double v_target,
                         int target_node) const;
 
-  // r = 1 Newton callbacks (operate on rc_ and the workspace buffers).
+  // Newton callbacks (operate on rc_ and the workspace buffers).
   void node_voltages(const numeric::Vector& xx, std::vector<double>& out);
   double ensure_state(const numeric::Vector& xx);
   bool region_residual(const numeric::Vector& xx, numeric::Vector& f);
   void region_assemble(const numeric::Vector& xx);
   bool region_step(const numeric::Vector& xx, const numeric::Vector& f,
                    numeric::Vector& dx);
-  /// Bookkeeping shared by the r = 1 and r = 2 commits: advances the
+  /// Bookkeeping shared by the Newton and bisection commits: advances the
   /// replay cursor and records the trace entry.
   void note_commit(double dt, const numeric::Vector& xv, int active,
                    bool placeholder);
@@ -563,15 +553,6 @@ bool Engine::region_residual(const numeric::Vector& xx, numeric::Vector& f) {
         kBoundaryScale * turn_on_residual(rc_.boundary_elem, ws_.vv, t1);
   else
     f[rc_.active] = kBoundaryScale * (ws_.vv[rc_.target_node] - rc_.v_target);
-  if (opt_.trace) {
-    std::fprintf(stderr, "[qwm] tau=%.3e x=[", tau_);
-    for (int i2 = 0; i2 < n; ++i2) std::fprintf(stderr, " %.4e", xx[i2]);
-    std::fprintf(stderr, " ] F=[");
-    for (int i2 = 0; i2 < n; ++i2) std::fprintf(stderr, " %.4e", f[i2]);
-    std::fprintf(stderr, " ] V=[");
-    for (int k = 1; k <= m_; ++k) std::fprintf(stderr, " %.4f", ws_.vv[k]);
-    std::fprintf(stderr, " ]\n");
-  }
   return true;
 }
 
@@ -771,8 +752,6 @@ bool Engine::solve_region(int active, int boundary_elem, double v_target,
                           int target_node, double delta_guess,
                           const WarmTrace::Region* warm, double warm_dt,
                           double warm_alpha_scale) {
-  // In cubic mode this r = 1 solver still handles turn-on regions and
-  // recovery sub-steps; those use the quadratic waveform.
   const bool quad = opt_.model != RegionModel::linear;
   const int n = active + 1;  // alphas (or end currents) + Delta
   rc_ = RegionCtx{};
@@ -792,20 +771,15 @@ bool Engine::solve_region(int active, int boundary_elem, double v_target,
   numeric::Vector& xv = ws_.xv;
   xv.assign(n, 0.0);
   if (warm != nullptr) {
-    // Warm start: the previous region's (or a replay trace's) converged
-    // parameters are already inside the physical root's basin, so the
-    // end-current probes — pure device-eval overhead — are skipped. The
-    // converged solution is still pinned by the same residual/tolerance.
+    // Warm start: a replay trace's converged parameters are already
+    // inside the physical root's basin, so the end-current probes — pure
+    // device-eval overhead — are skipped. The converged solution is still
+    // pinned by the same residual/tolerance.
     ++res_.stats.warm_starts;
     for (int k = 1; k <= active; ++k)
       xv[k - 1] = warm->alphas[k - 1] * warm_alpha_scale;
     xv[active] = warm_dt > 0.0 ? warm_dt
                                : std::clamp(warm->delta, 1e-14, 2e-9);
-    if (opt_.trace)
-      std::fprintf(stderr,
-                   "[qwm] region start tau=%.3e active=%d belem=%d warm "
-                   "delta=%.3e\n",
-                   tau_, active, boundary_elem, xv[active]);
   } else {
     // i_[1..active] holds the region-start node currents (update_currents
     // ran in the caller). For a *turn-on* region the start currents are ~0
@@ -854,16 +828,6 @@ bool Engine::solve_region(int active, int boundary_elem, double v_target,
       xv[k - 1] = quad ? (i_probe[k] - i_[k]) / std::max(delta_guess, 1e-14)
                        : i_probe[k];
     xv[active] = delta_guess;
-    if (opt_.trace) {
-      std::fprintf(stderr, "[qwm] region start tau=%.3e active=%d belem=%d "
-                   "dguess=%.3e\n  i_=[", tau_, active, boundary_elem,
-                   delta_guess);
-      for (int k = 1; k <= active; ++k) std::fprintf(stderr, " %.3e", i_[k]);
-      std::fprintf(stderr, " ] i_probe=[");
-      for (int k = 1; k <= active; ++k)
-        std::fprintf(stderr, " %.3e", i_probe[k]);
-      std::fprintf(stderr, " ]\n");
-    }
   }
 
   numeric::NewtonOptions nopt;
@@ -905,7 +869,6 @@ bool Engine::solve_region(int active, int boundary_elem, double v_target,
   record_region(tau_, dt, active, accel, slope);
 
   node_voltages(xv, ws_.vv);
-  ws_.prev_i_start.assign(i_.begin() + 1, i_.begin() + 1 + active);
   for (int k = 1; k <= active; ++k) {
     v_[k] = ws_.vv[k];
     i_[k] = quad ? i_[k] + xv[k - 1] * dt : xv[k - 1];
@@ -918,274 +881,7 @@ bool Engine::solve_region(int active, int boundary_elem, double v_target,
   // tolerance; a turn-on boundary activates a new element next, so the
   // incremental state is stale.
   i_fresh_active_ = boundary_elem < 0 ? active : -1;
-
-  // Warm-start bookkeeping: a committed tail region seeds the next one;
-  // a turn-on region changes the current pattern too much to reuse.
-  if (opt_.warm_intra && boundary_elem < 0) {
-    ws_.prev_tail.delta = dt;
-    ws_.prev_tail.alphas.assign(xv.begin(), xv.begin() + active);
-    have_prev_tail_ = true;
-    prev_tail_active_ = active;
-  } else {
-    have_prev_tail_ = false;
-  }
   note_commit(dt, xv, active, /*placeholder=*/false);
-  return true;
-}
-
-bool Engine::solve_region_cubic(int active, int boundary_elem,
-                                double v_target, int target_node,
-                                double delta_guess) {
-  const int A = active;
-  const int n = 2 * A + 1;  // alpha_1..A, beta_1..A, Delta
-
-  // Seeds: alpha from the end-current probe (as in the r = 1 model),
-  // beta = 0, Delta refined from the governing node's average current.
-  std::vector<double>& i_probe = ws_.i_probe;
-  probe_end_currents(A, delta_guess, i_probe);
-  {
-    const int kb = (boundary_elem >= 0) ? boundary_elem : target_node;
-    const int passes = (boundary_elem >= 0) ? 2 : 1;
-    if (kb >= 1 && kb <= A) {
-      for (int pass = 0; pass < passes; ++pass) {
-        double dv;
-        if (boundary_elem >= 0) {
-          const Element& el = prob_.elements[boundary_elem];
-          device::TerminalVoltages tv;
-          tv.input = gate_voltage(el, tau_ + delta_guess);
-          tv.src = tv.snk = v_[kb];
-          const double vth = el.model->threshold(tv);
-          dv = (prob_.discharge ? tv.input - vth : tv.input + vth) - v_[kb];
-        } else {
-          dv = v_target - v_[kb];
-        }
-        const double slope =
-            0.5 * (i_[kb] + i_probe[kb]) / prob_.node_caps[kb - 1];
-        if (!(std::abs(slope) > 1e-3)) break;
-        const double dt = dv / slope;
-        if (!(dt > 0.0) || !std::isfinite(dt)) break;
-        delta_guess = std::clamp(dt, 1e-14, 2e-9);
-        probe_end_currents(A, delta_guess, i_probe);
-      }
-    }
-  }
-  numeric::Vector& xv = ws_.xv;
-  xv.assign(n, 0.0);
-  for (int k = 1; k <= A; ++k)
-    xv[k - 1] = (i_probe[k] - i_[k]) / std::max(delta_guess, 1e-14);
-  xv[n - 1] = delta_guess;
-
-  // Node voltages at offset s into the region.
-  std::vector<double>& vm = ws_.vm;
-  std::vector<double>& ve = ws_.ve;
-  const auto volt_at = [&](const numeric::Vector& xx, double s,
-                           std::vector<double>& out) {
-    out = v_;
-    for (int k = 1; k <= A; ++k) {
-      const double c = prob_.node_caps[k - 1];
-      out[k] += (i_[k] * s + 0.5 * xx[k - 1] * s * s +
-                 xx[A + k - 1] * s * s * s / 3.0) /
-                c;
-    }
-  };
-  std::vector<ElementCurrent>& jm = ws_.jm;
-  std::vector<ElementCurrent>& je = ws_.je;
-  ws_.cache_x.clear();
-  std::vector<double>& cache_x = ws_.cache_x;
-  const auto ensure_state = [&](const numeric::Vector& xx) -> double {
-    const double dt = std::max(xx[n - 1], kMinRegionDt);
-    if (cache_x.size() != xx.size() ||
-        !std::equal(cache_x.begin(), cache_x.end(), xx.begin())) {
-      volt_at(xx, 0.5 * dt, vm);
-      volt_at(xx, dt, ve);
-      eval_element_currents(A, vm, tau_ + 0.5 * dt, jm);
-      eval_element_currents(A, ve, tau_ + dt, je);
-      cache_x.assign(xx.begin(), xx.end());
-    }
-    return dt;
-  };
-  const auto kcl_of = [&](const std::vector<ElementCurrent>& jc, int k) {
-    return prob_.discharge ? (jc[k + 1].j - jc[k].j)
-                           : (jc[k].j - jc[k + 1].j);
-  };
-
-  const auto residual = [&](const numeric::Vector& xx,
-                            numeric::Vector& f) -> bool {
-    const double dt = ensure_state(xx);
-    const double sm = 0.5 * dt;
-    f.assign(n, 0.0);
-    for (int k = 1; k <= A; ++k) {
-      const double a = xx[k - 1], b = xx[A + k - 1];
-      f[k - 1] = (i_[k] + a * sm + b * sm * sm) - kcl_of(jm, k);
-      f[A + k - 1] = (i_[k] + a * dt + b * dt * dt) - kcl_of(je, k);
-    }
-    if (boundary_elem >= 0)
-      f[n - 1] =
-          kBoundaryScale * turn_on_residual(boundary_elem, ve, tau_ + dt);
-    else
-      f[n - 1] = kBoundaryScale * (ve[target_node] - v_target);
-    return true;
-  };
-
-  numeric::Matrix& jac = ws_.jmat;
-  const auto assemble = [&](const numeric::Vector& xx) {
-    const double dt = ensure_state(xx);
-    jac.resize(n, n);
-    // One pass per matching point: (s, time-fraction f_t, currents, volts,
-    // row offset).
-    const struct Point {
-      double s, ft;
-      const std::vector<ElementCurrent>* jc;
-      const std::vector<double>* vv;
-      int row0;
-    } points[2] = {{0.5 * dt, 0.5, &jm, &vm, 0}, {dt, 1.0, &je, &ve, A}};
-
-    for (const auto& pt : points) {
-      const double s = pt.s;
-      for (int k = 1; k <= A; ++k) {
-        const int r = pt.row0 + k - 1;
-        // d(i_end)/d params of node k.
-        jac(r, k - 1) += s;
-        jac(r, A + k - 1) += s * s;
-        const double a = xx[k - 1], b = xx[A + k - 1];
-        double du = pt.ft * (a + 2.0 * b * s);  // d i / d Delta
-
-        const auto& jc = *pt.jc;
-        double dkcl_dvm1, dkcl_dv, dkcl_dvp1;
-        if (prob_.discharge) {
-          dkcl_dvm1 = -jc[k].d_near;
-          dkcl_dv = jc[k + 1].d_near - jc[k].d_far;
-          dkcl_dvp1 = jc[k + 1].d_far;
-        } else {
-          dkcl_dvm1 = jc[k].d_near;
-          dkcl_dv = jc[k].d_far - jc[k + 1].d_near;
-          dkcl_dvp1 = -jc[k + 1].d_far;
-        }
-        // Gate waveforms move with the matching time t = tau + ft * Delta.
-        const double t_pt = tau_ + pt.ft * dt;
-        const double gs_low =
-            (prob_.elements[k - 1].kind == Element::Kind::transistor)
-                ? gate_slope(prob_.elements[k - 1], t_pt)
-                : 0.0;
-        const double gs_up =
-            (k < static_cast<int>(prob_.elements.size()) &&
-             prob_.elements[k].kind == Element::Kind::transistor)
-                ? gate_slope(prob_.elements[k], t_pt)
-                : 0.0;
-        double dkcl_ddt_gate;
-        if (prob_.discharge)
-          dkcl_ddt_gate =
-              pt.ft * (jc[k + 1].d_gate * gs_up - jc[k].d_gate * gs_low);
-        else
-          dkcl_ddt_gate =
-              pt.ft * (jc[k].d_gate * gs_low - jc[k + 1].d_gate * gs_up);
-
-        // Chain through each neighbour's voltage sensitivities.
-        for (const int j : {k - 1, k, k + 1}) {
-          if (j < 1 || j > A) continue;
-          const double dk =
-              (j == k - 1) ? dkcl_dvm1 : (j == k ? dkcl_dv : dkcl_dvp1);
-          const double c = prob_.node_caps[j - 1];
-          const double dv_da = 0.5 * s * s / c;
-          const double dv_db = s * s * s / 3.0 / c;
-          const double ij_s = i_[j] + xx[j - 1] * s + xx[A + j - 1] * s * s;
-          const double dv_ddt = pt.ft * ij_s / c;
-          jac(r, j - 1) -= dk * dv_da;
-          jac(r, A + j - 1) -= dk * dv_db;
-          du -= dk * dv_ddt;
-        }
-        du -= dkcl_ddt_gate;
-        jac(r, n - 1) += du;
-      }
-    }
-
-    // Boundary row at the endpoint.
-    {
-      const int r = n - 1;
-      const int kb = (boundary_elem >= 0) ? active : target_node;
-      double db_dv;
-      double db_ddt_extra = 0.0;
-      if (boundary_elem >= 0) {
-        db_dv = vth_slope(boundary_elem, ve, tau_ + dt);
-        const double gs = gate_slope(prob_.elements[boundary_elem], tau_ + dt);
-        db_ddt_extra = prob_.discharge ? gs : -gs;
-      } else {
-        db_dv = 1.0;
-      }
-      const double c = prob_.node_caps[kb - 1];
-      const double ikb =
-          i_[kb] + xx[kb - 1] * dt + xx[A + kb - 1] * dt * dt;
-      jac(r, kb - 1) = kBoundaryScale * db_dv * 0.5 * dt * dt / c;
-      jac(r, A + kb - 1) = kBoundaryScale * db_dv * dt * dt * dt / 3.0 / c;
-      jac(r, n - 1) =
-          kBoundaryScale * (db_dv * ikb / c + db_ddt_extra);
-    }
-  };
-
-  const auto step = [&](const numeric::Vector& xx, const numeric::Vector& f,
-                        numeric::Vector& dx) -> bool {
-    assemble(xx);
-    ++res_.stats.linear_solves;
-    numeric::LuFactorization lu(jac);
-    if (!lu.ok()) return false;
-    numeric::Vector& rhs = ws_.rhs;
-    rhs.assign(n, 0.0);
-    for (int i2 = 0; i2 < n; ++i2) rhs[i2] = -f[i2];
-    dx = lu.solve(rhs);
-    // Trust region on Delta, as in the r = 1 solver.
-    const double d_cur = std::max(xx[n - 1], kMinRegionDt);
-    const double d_new = xx[n - 1] + dx[n - 1];
-    double scale = 1.0;
-    if (d_new < 0.2 * d_cur)
-      scale = (0.2 * d_cur - xx[n - 1]) / dx[n - 1];
-    else if (d_new > 5.0 * d_cur)
-      scale = (5.0 * d_cur - xx[n - 1]) / dx[n - 1];
-    if (scale < 1.0 && scale > 0.0)
-      for (double& d : dx) d *= scale;
-    return true;
-  };
-
-  numeric::NewtonOptions nopt;
-  nopt.max_iterations = opt_.nr_max_iterations;
-  nopt.f_tolerance = opt_.f_tolerance;
-  nopt.x_tolerance = 0.0;
-  nopt.max_backtracks = 10;
-  const numeric::NewtonResult nr =
-      numeric::newton_solve(residual, step, xv, nopt, ws_.newton);
-  res_.stats.newton_iterations += nr.iterations;
-  if (!nr.converged && nr.residual_norm > 1e-6) return false;
-
-  // Commit: the cubic is stored as two quadratic pieces hitting the
-  // matched mid/end values exactly (PiecewiseQuadWaveform stays the
-  // single output representation).
-  const double dt = std::max(xv[n - 1], kMinRegionDt);
-  const double sm = 0.5 * dt;
-  volt_at(xv, sm, vm);
-  volt_at(xv, dt, ve);
-  for (int k = 1; k <= m_; ++k) {
-    if (k <= A) {
-      const double c = prob_.node_caps[k - 1];
-      const double a = xv[k - 1], b = xv[A + k - 1];
-      const double slope0 = i_[k] / c;
-      const double acc1 = (vm[k] - v_[k] - slope0 * sm) / (sm * sm);
-      res_.node_waveforms[k - 1].add_piece(tau_, v_[k], slope0, acc1);
-      const double slope_m = (i_[k] + a * sm + b * sm * sm) / c;
-      const double acc2 = (ve[k] - vm[k] - slope_m * sm) / (sm * sm);
-      res_.node_waveforms[k - 1].add_piece(tau_ + sm, vm[k], slope_m, acc2);
-    } else {
-      res_.node_waveforms[k - 1].add_piece(tau_, v_[k], 0.0, 0.0);
-    }
-  }
-  for (int k = 1; k <= A; ++k) {
-    v_[k] = ve[k];
-    i_[k] = i_[k] + xv[k - 1] * dt + xv[A + k - 1] * dt * dt;
-  }
-  tau_ += dt;
-  res_.critical_times.push_back(tau_);
-  ++res_.stats.regions;
-  have_prev_tail_ = false;  // cubic parameters do not seed the r = 1 solver
-  i_fresh_active_ = -1;
-  note_commit(dt, xv, A, /*placeholder=*/true);
   return true;
 }
 
@@ -1224,65 +920,34 @@ bool Engine::solve_region_adaptive(int active, int boundary_elem,
   }
   const double guess =
       estimate_delta(active, boundary_elem, v_target, target_node);
-  if (opt_.trace) {
-    std::fprintf(stderr,
-                 "[qwm] region tau=%.3e active=%d belem=%d tgt=%d "
-                 "vt=%.3f guess=%.3e depth=%d V=[",
-                 tau_, active, boundary_elem, target_node, v_target, guess,
-                 depth);
-    for (int k = 1; k <= m_; ++k) std::fprintf(stderr, " %.3f", v_[k]);
-    std::fprintf(stderr, " ]\n");
-  }
-  // The cubic (r = 2) model is applied to the top-level tail regions,
-  // where its two matching points let the ladder be much coarser. Turn-on
-  // regions and failure-recovery sub-steps stay on the r = 1 model: they
-  // are short, and the cubic's extra freedom can admit non-physical
-  // (wiggling) roots over the long, strongly-nonlinear turn-on spans.
-  const bool use_cubic = opt_.model == RegionModel::cubic &&
-                         boundary_elem < 0 && depth == 0;
 
-  // Warm-seed selection, in priority order: a replay trace entry for this
-  // commit index (memo-cache near miss), else the previous tail region's
-  // converged parameters. Either is used only when its shape matches.
+  // Warm seed: the replay trace entry for this commit index (memo-cache
+  // near miss or cross-corner replay), used only when its shape matches.
   const WarmTrace::Region* warm = nullptr;
   double warm_dt = 0.0;
   double warm_alpha_scale = 1.0;
-  if (opt_.warm_start && !use_cubic) {
-    if (opt_.warm != nullptr &&
-        trace_next_ < static_cast<int>(opt_.warm->regions.size())) {
-      const WarmTrace::Region& r = opt_.warm->regions[trace_next_];
-      if (static_cast<int>(r.alphas.size()) == active && r.delta > 0.0) {
-        warm = &r;  // replay: the recorded length is the best estimate...
-        if (opt_.warm_scale != 1.0) {  // ...rescaled onto this time scale
-          if (warm_scale_run_ < 0.0) warm_scale_run_ = opt_.warm_scale;
-          if (warm_alpha_run_ < 0.0) {
-            // First-order prior: durations scale by s, currents by 1/s —
-            // so the quad model's ramp-rate alphas scale by 1/s^2.
-            const double s = opt_.warm_scale;
-            warm_alpha_run_ =
-                opt_.model != RegionModel::linear ? 1.0 / (s * s) : 1.0 / s;
-          }
-          warm_dt = std::clamp(r.delta * warm_scale_run_, 1e-14, 2e-9);
-          warm_alpha_scale = warm_alpha_run_;
+  if (opt_.warm_start && opt_.warm != nullptr &&
+      trace_next_ < static_cast<int>(opt_.warm->regions.size())) {
+    const WarmTrace::Region& r = opt_.warm->regions[trace_next_];
+    if (static_cast<int>(r.alphas.size()) == active && r.delta > 0.0) {
+      warm = &r;  // replay: the recorded length is the best estimate...
+      if (opt_.warm_scale != 1.0) {  // ...rescaled onto this time scale
+        if (warm_scale_run_ < 0.0) warm_scale_run_ = opt_.warm_scale;
+        if (warm_alpha_run_ < 0.0) {
+          // First-order prior: durations scale by s, currents by 1/s —
+          // so the quad model's ramp-rate alphas scale by 1/s^2.
+          const double s = opt_.warm_scale;
+          warm_alpha_run_ =
+              opt_.model != RegionModel::linear ? 1.0 / (s * s) : 1.0 / s;
         }
+        warm_dt = std::clamp(r.delta * warm_scale_run_, 1e-14, 2e-9);
+        warm_alpha_scale = warm_alpha_run_;
       }
-    }
-    if (warm == nullptr && opt_.warm_intra && boundary_elem < 0 &&
-        have_prev_tail_ && prev_tail_active_ == active) {
-      // Intra-path seed: the previous region's alphas with the *current*
-      // length estimate (the node has slowed since the previous region,
-      // so its old length underestimates this one).
-      warm = &ws_.prev_tail;
-      warm_dt = guess;
     }
   }
 
-  bool solved =
-      use_cubic
-          ? solve_region_cubic(active, boundary_elem, v_target, target_node,
-                               guess)
-          : solve_region(active, boundary_elem, v_target, target_node, guess,
-                         warm, warm_dt, warm_alpha_scale);
+  bool solved = solve_region(active, boundary_elem, v_target, target_node,
+                             guess, warm, warm_dt, warm_alpha_scale);
   if (!solved && warm != nullptr) {
     // A warm seed must never cost a result the cold seed would find:
     // retry once from the probe-based seed before declaring failure.
@@ -1445,7 +1110,6 @@ bool Engine::solve_region_bisect(int active, int boundary_elem,
   xv.assign(active + 1, 0.0);
   for (int k = 1; k <= active; ++k) xv[k - 1] = alphas[k];
   xv[active] = dt;
-  ws_.prev_i_start.assign(i_.begin() + 1, i_.begin() + 1 + active);
   for (int k = 1; k <= active; ++k) {
     v_[k] = vv[k];
     i_[k] += alphas[k] * dt;
@@ -1453,7 +1117,6 @@ bool Engine::solve_region_bisect(int active, int boundary_elem,
   tau_ += dt;
   res_.critical_times.push_back(tau_);
   ++res_.stats.regions;
-  have_prev_tail_ = false;  // degraded parameters never seed a warm start
   i_fresh_active_ = -1;
   note_commit(dt, xv, active, /*placeholder=*/true);
   return true;
@@ -1484,22 +1147,18 @@ QwmResult Engine::run() {
 
   // Batched device path: every transistor must share one concrete tabular
   // model (a path conducts one event polarity, so this is the common
-  // case); mixed or analytic models fall back to the scalar path.
-  batch_model_ = nullptr;
-  if (opt_.batch_device_eval) {
-    const device::TabularDeviceModel* common = nullptr;
-    bool uniform = true;
-    for (const Element& el : prob_.elements) {
-      if (el.kind != Element::Kind::transistor) continue;
-      if (el.tabular == nullptr ||
-          (common != nullptr && el.tabular != common)) {
-        uniform = false;
-        break;
-      }
-      common = el.tabular;
+  // case); mixed or analytic models take the scalar per-device path.
+  const device::TabularDeviceModel* common = nullptr;
+  bool uniform = true;
+  for (const Element& el : prob_.elements) {
+    if (el.kind != Element::Kind::transistor) continue;
+    if (el.tabular == nullptr || (common != nullptr && el.tabular != common)) {
+      uniform = false;
+      break;
     }
-    if (uniform) batch_model_ = common;
+    common = el.tabular;
   }
+  batch_model_ = uniform ? common : nullptr;
   if (batch_model_ != nullptr) {
     batch_pmos_ = batch_model_->mos_type() == device::MosType::pmos;
     batch_pm_ = batch_pmos_ ? -1.0 : 1.0;
@@ -1637,13 +1296,6 @@ QwmResult Engine::run() {
 }
 
 }  // namespace
-
-QwmResult evaluate_path(const circuit::PathProblem& problem,
-                        const std::vector<numeric::PwlWaveform>& inputs,
-                        const QwmOptions& options) {
-  EvalWorkspace ws;
-  return evaluate_path(problem, inputs, options, ws);
-}
 
 QwmResult evaluate_path(const circuit::PathProblem& problem,
                         const std::vector<numeric::PwlWaveform>& inputs,

@@ -31,12 +31,6 @@ class EvalWorkspace;
 enum class RegionModel {
   quadratic,  ///< linear current -> quadratic voltage (the paper's QWM)
   linear,     ///< constant current -> linear voltage (ablation baseline)
-  /// Quadratic current -> cubic voltage with two parameters per node,
-  /// matched at the region midpoint AND endpoint — the paper's "r time
-  /// points" generalization (its stated future work). Regions can be
-  /// several times longer at equal accuracy; the per-region system is
-  /// solved densely (2K+1 unknowns).
-  cubic,
 };
 
 enum class RegionSolver {
@@ -72,11 +66,6 @@ struct QwmOptions {
   /// Override initial node voltages (size = path node count); empty =
   /// worst-case precharge (all nodes at the far rail).
   std::vector<double> initial_voltages;
-  /// Evaluate the path's devices through the concrete tabular model's
-  /// batched SoA kernel when every transistor shares one (cached at
-  /// path-build time). Bit-identical to the scalar per-device path — the
-  /// toggle exists for the equivalence tests and ablation.
-  bool batch_device_eval = true;
   /// Newton warm starts from a replay trace: when `warm` is supplied,
   /// each region's solve is seeded with the previously converged
   /// parameters instead of the end-current probe. A same-input replay
@@ -86,12 +75,6 @@ struct QwmOptions {
   /// that fails from a warm seed is retried cold before being declared
   /// failed.
   bool warm_start = true;
-  /// Additionally seed each tail region from the *previous region's*
-  /// converged slopes within the same evaluation (no trace needed).
-  /// Ablation only, default off: on heterogeneous stacks the previous
-  /// region is a poor seed — most attempts fall back to the cold retry —
-  /// and converged results are not bit-stable against the cold path.
-  bool warm_intra = false;
   /// Record the converged per-region solutions into QwmResult::trace
   /// (for memo-cache near-miss replay).
   bool record_trace = false;
@@ -106,8 +89,6 @@ struct QwmOptions {
   /// Newton start point onto the new corner's time scale. 1.0 = replay
   /// the recorded lengths verbatim (same-condition near-miss).
   double warm_scale = 1.0;
-  /// Prints the per-iteration Newton trajectory to stderr (debugging).
-  bool trace = false;
 };
 
 /// Rung indices of the fallback ladder (QwmStats::fallback_counts).
@@ -130,8 +111,8 @@ struct QwmStats {
   /// Batched device-eval groups issued to the frame kernel, counted in
   /// kernel::kSimdWidth-lane groups (ceil(n / width) per batch call), and
   /// the useful lanes inside them. Both are computed from batch sizes with
-  /// the fixed logical width, so the values are identical on every backend
-  /// and host — lanes_filled / (width * batches) is the occupancy.
+  /// the fixed logical width, so the values are identical on every host —
+  /// lanes_filled / (width * batches) is the occupancy.
   std::size_t simd_batches = 0;
   std::size_t simd_lanes_filled = 0;
   /// Ladder outcome per top-level region objective: [0] resolved by the
@@ -196,15 +177,13 @@ struct QwmResult {
 };
 
 /// Evaluates a lumped path problem. `inputs[i]` is the waveform of stage
-/// input i (only inputs referenced by path elements are consulted).
-QwmResult evaluate_path(const circuit::PathProblem& problem,
-                        const std::vector<numeric::PwlWaveform>& inputs,
-                        const QwmOptions& options = {});
-
-/// Scratch-reusing variant: all region-solve storage comes from `ws`
-/// (grow-only; see workspace.h). After a warm-up evaluation at a given
-/// path size, the region-solve hot path performs no heap allocation.
-/// Results are bit-identical to the allocating overload.
+/// input i (only inputs referenced by path elements are consulted). All
+/// region-solve storage comes from `ws` (grow-only; see workspace.h):
+/// after a warm-up evaluation at a given path size, the region-solve hot
+/// path performs no heap allocation. The path's devices are evaluated
+/// through the tabular model's batched kernel when every transistor
+/// shares one concrete tabular model, else one device at a time; both
+/// give the same bits.
 QwmResult evaluate_path(const circuit::PathProblem& problem,
                         const std::vector<numeric::PwlWaveform>& inputs,
                         const QwmOptions& options, EvalWorkspace& ws);

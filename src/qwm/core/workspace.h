@@ -15,9 +15,9 @@
 //    between evaluate_path() calls, and several are clobbered by every
 //    region solve. Callers only construct the workspace and read stats().
 //  * Aliasing: `jc` is shared by the probe, the KCL current refresh, and
-//    the Newton residual state (they never overlap in time); `jmat`/`rhs`
-//    are shared by the dense LU fallback and the cubic solver. Everything
-//    else is a distinct buffer.
+//    the Newton residual state (they never overlap in time); `i_probe` and
+//    `vp` double as the bisection rung's alpha and voltage storage.
+//    Everything else is a distinct buffer.
 //
 // checkpoint() (called once per evaluation) folds the current footprint
 // into the high-water statistics; a flat high-water mark with zero new
@@ -30,7 +30,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "qwm/core/warm_trace.h"
 #include "qwm/device/tabular_model.h"
 #include "qwm/support/fault_injection.h"
 #include "qwm/numeric/matrix.h"
@@ -94,7 +93,7 @@ class EvalWorkspace {
   std::vector<ElementPlan> elem_plan;  ///< static per-element coefficients
   std::vector<double> inv_caps;        ///< 1 / node_caps, hoisted per run
 
-  // --- r = 1 region solve. ---
+  // --- Region solve. ---
   std::vector<double> vv;       ///< node voltages at the region end
   std::vector<double> cache_x;  ///< residual/Jacobian shared-state key
   numeric::Tridiagonal tri;     ///< Jacobian band part
@@ -106,19 +105,9 @@ class EvalWorkspace {
   numeric::Vector xv;           ///< Newton unknowns
   std::vector<double> accel;    ///< committed piece coefficients
   std::vector<double> slope;
-  numeric::Matrix jmat;         ///< dense LU fallback / cubic Jacobian
+  numeric::Matrix jmat;         ///< dense LU fallback Jacobian
   numeric::NewtonScratch newton;
   numeric::ShermanMorrisonScratch sm;
-
-  // --- r = 2 (cubic) region solve. ---
-  std::vector<double> vm;  ///< midpoint voltages
-  std::vector<double> ve;  ///< endpoint voltages
-  std::vector<ElementCurrent> jm;
-  std::vector<ElementCurrent> je;
-
-  // --- Warm-start state (previous tail region's converged solution). ---
-  WarmTrace::Region prev_tail;
-  std::vector<double> prev_i_start;  ///< node currents at that region's start
 
   /// Current footprint: the sum of every buffer's reserved capacity.
   std::size_t bytes() const {
@@ -132,8 +121,7 @@ class EvalWorkspace {
                     cap(inv_caps) + cap(vv) +
                     cap(cache_x) + cap(u_col) + cap(v_col) + cap(dv_dx) +
                     cap(dv_ddt) + cap(rhs) + cap(xv) + cap(accel) +
-                    cap(slope) + cap(vm) + cap(ve) + cap(jm) + cap(je) +
-                    cap(prev_tail.alphas) + cap(prev_i_start);
+                    cap(slope);
     b += cap(tri.lower) + cap(tri.diag) + cap(tri.upper);
     b += jmat.rows() * jmat.cols() * sizeof(double);
     b += cap(newton.f) + cap(newton.dx) + cap(newton.x_trial) +

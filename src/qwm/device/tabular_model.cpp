@@ -42,9 +42,9 @@ TabularDeviceModel::TabularDeviceModel(MosType type, const Process& proc,
 TabularDeviceModel::FrameEval TabularDeviceModel::eval_frame(double vg,
                                                              double vs,
                                                              double vd) const {
-  // Single-frame lookups route through the batched kernel dispatch so the
-  // scalar engine path, the batched SoA path, and every SIMD backend all
-  // share one arithmetic implementation (see frame_kernel.h).
+  // Single-frame lookups route through the batched kernel so the scalar
+  // engine path and the batched SoA path share one arithmetic
+  // implementation (see frame_kernel.h).
   FrameEval out;
   kernel::eval_frames(grid_, 1, &vg, &vs, &vd, &out);
   return out;

@@ -42,17 +42,16 @@ class TabularDeviceModel : public DeviceModel {
 
   /// Table lookup result in the NMOS-normalized frame at the reference
   /// geometry (drain -> source channel current and its partials). Lives in
-  /// kernel:: so the runtime-dispatched scalar/AVX2 backends (see
-  /// frame_kernel.h) can produce it without a layering cycle.
+  /// kernel:: so the frame kernel (see frame_kernel.h) can produce it
+  /// without a layering cycle.
   using FrameEval = kernel::FrameEval;
   /// Interpolated table lookup in the NMOS frame with vd >= vs.
   FrameEval eval_frame(double vg, double vs, double vd) const;
 
   /// Batched SoA form of eval_frame: n independent frame lookups with the
   /// grid/axis state hoisted out of the loop. Bit-identical to calling
-  /// eval_frame(vg[k], vs[k], vd[k]) for each k — the scalar path is
-  /// implemented on the same kernel, and every SIMD backend reproduces the
-  /// scalar kernel's bits — and counts n table queries.
+  /// eval_frame(vg[k], vs[k], vd[k]) for each k — both run the same
+  /// kernel — and counts n table queries.
   void eval_frames(std::size_t n, const double* vg, const double* vs,
                    const double* vd, FrameEval* out) const;
 

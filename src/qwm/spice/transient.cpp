@@ -42,25 +42,24 @@ struct Solver {
     }
     // Devirtualize once: cache each mosfet's concrete tabular model and
     // group mosfets per distinct model (NMOS/PMOS in practice) so the NR
-    // loop evaluates each group through one batched SoA call.
-    if (opt.batch_device_eval) {
-      const auto& mos = ckt.mosfets();
-      tab_of_.resize(mos.size());
-      group_results_.resize(mos.size());
-      group_swap_.resize(mos.size());
-      for (std::size_t i = 0; i < mos.size(); ++i) {
-        tab_of_[i] = mos[i].model->tabular();
-        if (tab_of_[i] == nullptr) continue;
-        BatchGroup* g = nullptr;
-        for (auto& cand : groups_)
-          if (cand.model == tab_of_[i]) g = &cand;
-        if (g == nullptr) {
-          groups_.push_back(BatchGroup{});
-          g = &groups_.back();
-          g->model = tab_of_[i];
-        }
-        g->mosfets.push_back(i);
+    // loop evaluates each group through one batched SoA call. Mosfets on
+    // a non-tabular model keep one iv_eval call each.
+    const auto& mos = ckt.mosfets();
+    tab_of_.resize(mos.size());
+    group_results_.resize(mos.size());
+    group_swap_.resize(mos.size());
+    for (std::size_t i = 0; i < mos.size(); ++i) {
+      tab_of_[i] = mos[i].model->tabular();
+      if (tab_of_[i] == nullptr) continue;
+      BatchGroup* g = nullptr;
+      for (auto& cand : groups_)
+        if (cand.model == tab_of_[i]) g = &cand;
+      if (g == nullptr) {
+        groups_.push_back(BatchGroup{});
+        g = &groups_.back();
+        g->model = tab_of_[i];
       }
+      g->mosfets.push_back(i);
     }
   }
 
@@ -153,11 +152,11 @@ struct Solver {
     }
     for (std::size_t i = 0; i < mos.size(); ++i) {
       const auto& m = mos[i];
-      const bool batched = opt.batch_device_eval && tab_of_[i] != nullptr;
       const device::IvEval e =
-          batched ? group_results_[i]
-                  : m.model->iv_eval(m.w, m.l, device::TerminalVoltages{
-                                                   v[m.g], v[m.d], v[m.s]});
+          tab_of_[i] != nullptr
+              ? group_results_[i]
+              : m.model->iv_eval(m.w, m.l, device::TerminalVoltages{
+                                               v[m.g], v[m.d], v[m.s]});
       if (stats) ++stats->device_evals;
       add_f(m.d, e.i);
       add_f(m.s, -e.i);
@@ -323,10 +322,10 @@ struct Solver {
   std::unique_ptr<numeric::LuFactorization> chord_lu_;
   double chord_h_ = -1.0;
 
-  /// Batched device evaluation state (built once in the constructor when
-  /// opt.batch_device_eval): each group holds the mosfets sharing one
-  /// concrete tabular model plus SoA gather buffers for their frame
-  /// coordinates. Empty when batching is off.
+  /// Batched device evaluation state (built once in the constructor): each
+  /// group holds the mosfets sharing one concrete tabular model plus SoA
+  /// gather buffers for their frame coordinates. Empty when no mosfet has
+  /// a tabular model.
   struct BatchGroup {
     const device::TabularDeviceModel* model = nullptr;
     std::vector<std::size_t> mosfets;        ///< indices into ckt.mosfets()

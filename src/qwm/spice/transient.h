@@ -41,11 +41,6 @@ struct TransientOptions {
   double v_tolerance = 1e-6;  ///< NR update tolerance [V]
   double i_tolerance = 1e-12; ///< NR residual tolerance [A]
   NonlinearSolver solver = NonlinearSolver::newton_raphson;
-  /// Evaluate transistors through the concrete tabular model's batched
-  /// SoA kernel, grouped per model (NMOS/PMOS), instead of one virtual
-  /// call per device per iteration. Bit-identical results — the toggle
-  /// exists for the equivalence tests and ablation.
-  bool batch_device_eval = true;
   /// Chord conductance assigned to each transistor in the constant
   /// admittance matrix (successive chords only) [S]. A mid-swing
   /// effective conductance; convergence is guaranteed for any value

@@ -7,6 +7,7 @@
 #include "../common/test_models.h"
 #include "qwm/circuit/builders.h"
 #include "qwm/core/stage_eval.h"
+#include "qwm/core/workspace.h"
 #include "qwm/spice/from_stage.h"
 #include "qwm/spice/transient.h"
 
@@ -222,50 +223,6 @@ TEST(Qwm, QuadraticModelBeatsLinearModel) {
   EXPECT_LE(err_q, err_l * 1.05);  // quadratic at least as accurate
 }
 
-class QwmCubicVsSpice : public ::testing::TestWithParam<int> {};
-
-TEST_P(QwmCubicVsSpice, CoarseLadderStaysAccurate) {
-  // The r = 2 (cubic) region model matches currents at the region
-  // midpoint AND endpoint, so a 4-target tail ladder suffices where the
-  // paper's r = 1 model needs ~14.
-  const int k = GetParam();
-  const auto b = make_nmos_stack(test::models().proc,
-                                 std::vector<double>(k, 1e-6), 25e-15);
-  const auto inputs = step_inputs(b);
-
-  QwmOptions opt;
-  opt.model = RegionModel::cubic;
-  opt.tail_fractions = {0.835, 0.605, 0.375, 0.145};
-  const auto st = evaluate_stage(b, inputs, models(), opt);
-  ASSERT_TRUE(st.ok) << st.error;
-  ASSERT_TRUE(st.delay);
-
-  spice::StageSim sim;
-  const auto ref = spice_reference(b, inputs, 3e-9, 1e-12, &sim);
-  const auto t_in = inputs[b.switching_input].crossing(1.65, 0.0, true);
-  const auto t_out =
-      ref.waveforms[sim.node_of[b.output]].crossing(1.65, *t_in, false);
-  ASSERT_TRUE(t_out);
-  const double ref_delay = *t_out - *t_in;
-  EXPECT_NEAR(*st.delay, ref_delay, 0.03 * ref_delay) << "k=" << k;
-}
-
-INSTANTIATE_TEST_SUITE_P(StackLengths, QwmCubicVsSpice,
-                         ::testing::Values(2, 4, 7, 10));
-
-TEST(Qwm, CubicUsesFewerRegionsThanQuadratic) {
-  const auto b = make_nmos_stack(test::models().proc,
-                                 std::vector<double>(6, 1e-6), 25e-15);
-  const auto inputs = step_inputs(b);
-  QwmOptions cub;
-  cub.model = RegionModel::cubic;
-  cub.tail_fractions = {0.835, 0.605, 0.375, 0.145};
-  const auto st_c = evaluate_stage(b, inputs, models(), cub);
-  const auto st_q = evaluate_stage(b, inputs, models());
-  ASSERT_TRUE(st_c.ok && st_q.ok);
-  EXPECT_LT(st_c.qwm.stats.regions, st_q.qwm.stats.regions);
-}
-
 TEST(Qwm, RampInputHandled) {
   const auto b = make_nand(test::models().proc, 2, 20e-15);
   const double vdd = test::models().proc.vdd;
@@ -297,7 +254,8 @@ TEST(Qwm, PureRcPathDecaysExponentially) {
   // Keep the resistor explicit regardless of the merge threshold.
   const auto prob = circuit::build_path_problem(s, path, models(), 0.0);
   ASSERT_EQ(prob.transistor_count(), 0u);
-  const auto r = evaluate_path(prob, {});
+  EvalWorkspace ws;
+  const auto r = evaluate_path(prob, {}, {}, ws);
   ASSERT_TRUE(r.ok) << r.error;
   const double tau = 2000.0 * 50e-15;
   const auto t50 = r.output_waveform().crossing(0.5 * proc.vdd);

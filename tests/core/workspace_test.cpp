@@ -15,6 +15,7 @@
 #include <random>
 #include <vector>
 
+#include "../common/scalar_path_model.h"
 #include "../common/test_models.h"
 #include "qwm/circuit/builders.h"
 #include "qwm/core/stage_eval.h"
@@ -105,7 +106,8 @@ TEST(BatchedDeviceEval, RandomStacksMatchScalarBitForBit) {
   // Randomized 2-6 transistor stacks with non-uniform widths and loads:
   // the batched SoA kernel and the scalar per-device path must agree to
   // the last bit (they share one frame-lookup kernel; stamping stays in
-  // circuit order).
+  // circuit order). The scalar side runs on the same tables behind
+  // ScalarPathModel, which hides the concrete tabular type.
   std::mt19937 rng(7);
   std::uniform_real_distribution<double> w_dist(0.8e-6, 3.0e-6);
   std::uniform_real_distribution<double> c_dist(10e-15, 40e-15);
@@ -117,12 +119,8 @@ TEST(BatchedDeviceEval, RandomStacksMatchScalarBitForBit) {
                                             c_dist(rng));
     const auto inputs = step_inputs(b);
 
-    QwmOptions scalar_opt;
-    scalar_opt.batch_device_eval = false;
-    QwmOptions batched_opt;
-    batched_opt.batch_device_eval = true;
-    const auto scalar = evaluate_stage(b, inputs, models(), scalar_opt);
-    const auto batched = evaluate_stage(b, inputs, models(), batched_opt);
+    const auto scalar = evaluate_stage(b, inputs, test::scalar_path_set());
+    const auto batched = evaluate_stage(b, inputs, models());
     ASSERT_TRUE(scalar.ok && batched.ok) << "trial " << trial << " k=" << k;
     EXPECT_EQ(*scalar.delay, *batched.delay) << "trial " << trial;
     EXPECT_EQ(*scalar.output_slew, *batched.output_slew) << "trial " << trial;
@@ -130,6 +128,10 @@ TEST(BatchedDeviceEval, RandomStacksMatchScalarBitForBit) {
     EXPECT_EQ(scalar.qwm.stats.newton_iterations,
               batched.qwm.stats.newton_iterations);
     EXPECT_EQ(scalar.qwm.stats.regions, batched.qwm.stats.regions);
+    EXPECT_EQ(scalar.qwm.stats.device_evals, batched.qwm.stats.device_evals);
+    // Only the batched side issues kernel batches.
+    EXPECT_EQ(scalar.qwm.stats.simd_batches, 0u);
+    EXPECT_GT(batched.qwm.stats.simd_batches, 0u);
   }
 }
 

@@ -1,6 +1,7 @@
 // The batched per-model device evaluation in the transient engine must
 // be invisible in the results: for both nonlinear solvers, a simulation
-// with batch_device_eval on is bit-identical to one with it off (the SoA
+// on the tabular models is bit-identical to one on the same tables behind
+// ScalarPathModel, which takes the per-device iv_eval path (the SoA
 // gather/scatter shares the scalar frame kernel and stamps in circuit
 // order), and performs the same number of device-model queries.
 #include "qwm/spice/transient.h"
@@ -9,6 +10,7 @@
 
 #include <vector>
 
+#include "../common/scalar_path_model.h"
 #include "../common/test_models.h"
 #include "qwm/circuit/builders.h"
 #include "qwm/spice/from_stage.h"
@@ -16,7 +18,7 @@
 namespace qwm::spice {
 namespace {
 
-StageSim sim_for(const circuit::BuiltStage& b) {
+StageSim sim_for(const circuit::BuiltStage& b, const device::ModelSet& ms) {
   const auto& m = test::models();
   std::vector<numeric::PwlWaveform> inputs;
   for (std::size_t i = 0; i < b.stage.input_count(); ++i) {
@@ -29,7 +31,7 @@ StageSim sim_for(const circuit::BuiltStage& b) {
       inputs.push_back(
           numeric::PwlWaveform::constant(b.output_falls ? m.proc.vdd : 0.0));
   }
-  StageSim sim = circuit_from_stage(b.stage, m.tabular_set(), inputs);
+  StageSim sim = circuit_from_stage(b.stage, ms, inputs);
   const double pre = b.output_falls ? m.proc.vdd : 0.0;
   for (std::size_t n = 0; n < b.stage.node_count(); ++n) {
     const auto id = static_cast<circuit::NodeId>(n);
@@ -41,16 +43,16 @@ StageSim sim_for(const circuit::BuiltStage& b) {
 
 void expect_bitwise_equal_run(const circuit::BuiltStage& b,
                               NonlinearSolver solver) {
-  StageSim sim = sim_for(b);
   TransientOptions opt;
   opt.t_stop = 400e-12;
   opt.dt = 1e-12;
   opt.solver = solver;
 
-  opt.batch_device_eval = false;
-  const TransientResult scalar = simulate_transient(sim.circuit, opt);
-  opt.batch_device_eval = true;
-  const TransientResult batched = simulate_transient(sim.circuit, opt);
+  const StageSim scalar_sim = sim_for(b, test::scalar_path_set());
+  const StageSim batched_sim = sim_for(b, test::models().tabular_set());
+  const TransientResult scalar = simulate_transient(scalar_sim.circuit, opt);
+  const TransientResult batched =
+      simulate_transient(batched_sim.circuit, opt);
 
   ASSERT_TRUE(scalar.stats.converged);
   ASSERT_TRUE(batched.stats.converged);

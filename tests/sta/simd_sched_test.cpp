@@ -1,97 +1,25 @@
-// The two halves of the vectorized-engine contract at STA scope:
-//
-//  1. Backend independence — a full analysis (golden twin gates, corner
-//     lanes) run under the forced scalar frame kernel must be bitwise
-//     equal to the same analysis under AVX2, across schedules. Skipped
-//     on hosts without AVX2; the scalar lane is the reference either way.
-//  2. Work stealing — the sharded deps scheduler must stay bit-identical
-//     to the serial level-schedule reference while actually stealing:
-//     repeated 8-lane runs over a wide grid, steal_count summed across
-//     runs (a single run may drain without contention; five in a row do
-//     not), and a single-lane run proving both contention counters stay
-//     at exactly zero when there is nobody to contend with. Runs under
-//     the tier-1 TSan preset, which is where a shard/claim-table race
-//     would surface.
+// Work stealing in the sharded deps scheduler: it must stay bit-identical
+// to the serial level-schedule reference while actually stealing —
+// repeated 8-lane runs over a wide grid, steal_count summed across runs
+// (a single run may drain without contention; five in a row do not), and
+// a single-lane run proving both contention counters stay at exactly zero
+// when there is nobody to contend with. Runs under the tier-1 TSan
+// preset, which is where a shard/claim-table race would surface.
 #include "qwm/sta/sta.h"
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
 
-#include "../common/backend_guard.h"
-#include "../common/test_models.h"
-#include "qwm/device/frame_kernel.h"
 #include "sta_test_util.h"
 
 namespace qwm::sta {
 namespace {
 
-using device::kernel::Backend;
-using test::ScopedBackend;
 using testutil::engine_for;
 using testutil::expect_identical;
 using testutil::generated_design;
-using testutil::golden_twin_design;
 using testutil::models;
-
-TEST(SimdSched, GoldenGatesBitIdenticalAcrossBackends) {
-  if (!device::kernel::backend_supported(Backend::avx2))
-    GTEST_SKIP() << "host has no AVX2";
-  const auto design = golden_twin_design();
-
-  ScopedBackend scalar_guard(Backend::scalar);
-  ASSERT_TRUE(scalar_guard.ok());
-  StaEngine ref = engine_for(design, Schedule::levels, 1);
-  const std::size_t ref_evals = ref.run();
-  ASSERT_GT(ref_evals, 0u);
-
-  ScopedBackend avx_guard(Backend::avx2);
-  ASSERT_TRUE(avx_guard.ok());
-  for (const Schedule sched : {Schedule::levels, Schedule::deps}) {
-    SCOPED_TRACE(sched == Schedule::levels ? "levels" : "deps");
-    StaEngine avx = engine_for(design, sched, 4);
-    EXPECT_EQ(avx.run(), ref_evals);
-    // Scalar serial levels vs AVX2 parallel: the strongest cross check —
-    // backend and scheduler must both be invisible in the bits.
-    expect_identical(ref, avx, "backend");
-    EXPECT_EQ(avx.qwm_stats().newton_iterations,
-              ref.qwm_stats().newton_iterations);
-    EXPECT_EQ(avx.qwm_stats().device_evals, ref.qwm_stats().device_evals);
-    EXPECT_EQ(avx.qwm_stats().simd_batches, ref.qwm_stats().simd_batches);
-    EXPECT_EQ(avx.qwm_stats().simd_lanes_filled,
-              ref.qwm_stats().simd_lanes_filled);
-  }
-}
-
-TEST(SimdSched, CornerLanesBitIdenticalAcrossBackends) {
-  if (!device::kernel::backend_supported(Backend::avx2))
-    GTEST_SKIP() << "host has no AVX2";
-  const auto design = golden_twin_design();
-  StaOptions opt;
-  opt.threads = 1;
-
-  ScopedBackend scalar_guard(Backend::scalar);
-  ASSERT_TRUE(scalar_guard.ok());
-  StaEngine ref(design, test::corner_models().sets(), opt);
-  ref.run();
-  ASSERT_TRUE(ref.multi_corner());
-
-  ScopedBackend avx_guard(Backend::avx2);
-  ASSERT_TRUE(avx_guard.ok());
-  StaOptions dp = opt;
-  dp.schedule = Schedule::deps;
-  dp.threads = 4;
-  StaEngine avx(design, test::corner_models().sets(), dp);
-  avx.run();
-  ASSERT_TRUE(avx.multi_corner());
-  expect_identical(ref, avx, "corners");
-  // The shared-axis corner batch keeps the sibling-lane warm-start
-  // economics backend-invariant too.
-  EXPECT_EQ(avx.qwm_stats(device::Corner::fast).warm_starts,
-            ref.qwm_stats(device::Corner::fast).warm_starts);
-  EXPECT_EQ(avx.qwm_stats(device::Corner::slow).warm_starts,
-            ref.qwm_stats(device::Corner::slow).warm_starts);
-}
 
 TEST(SimdSched, WorkStealingStressStaysBitIdentical) {
   // A wide grid keeps many stages ready at once, so 8 lanes over 5

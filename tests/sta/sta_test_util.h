@@ -1,4 +1,4 @@
-// Shared fixtures for the scheduler- and backend-equivalence suites
+// Shared fixtures for the scheduler-equivalence suites
 // (deps_sta_test.cpp, simd_sched_test.cpp): the Table I/II twin design
 // that exercises the memo owner/follower machinery, generated designs,
 // and the bitwise-equality walk over every arrival on every corner.

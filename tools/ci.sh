@@ -7,7 +7,8 @@
 #      both presets), the shared memo cache, and the qwm_serve dispatch
 #      layer —
 # plus a service smoke stage driving the qwm_serve daemon over both
-# transports (scripted stdio exchange; TCP round with qwm_load), a
+# transports (scripted stdio exchange; TCP rounds with qwm_load on a
+# SPICE deck and on a generated gate-level design), a
 # crash/replay smoke (kill -9 the server, restart it on the same port,
 # replay LOAD + mutations, require byte-identical replies), a
 # deterministic perf-regression smoke comparing the pinned counter
@@ -37,22 +38,6 @@ cmake --build --preset default -j"$(nproc)"
 
 echo "== tier1 tests (plain) =="
 ctest --preset tier1
-
-echo "== tier1 bit-exactness suites (forced scalar frame kernel) =="
-# The frame-kernel dispatch picks the best backend at startup (AVX2 on
-# capable hosts), so the plain run above covered that side. This pass
-# pins QWM_SIMD_BACKEND=scalar and re-runs the arithmetic-contract
-# suites so the portable backend's results gate CI on every host. On
-# AVX2 hosts the SimdBackend/SimdSched suites additionally compare the
-# two backends bitwise; on others they skip and this pass is the
-# scalar coverage.
-if grep -q avx2 /proc/cpuinfo 2>/dev/null; then
-  echo "host has AVX2: plain tier1 ran the AVX2 backend"
-else
-  echo "host has no AVX2: dispatch already scalar; re-run is a pin check"
-fi
-QWM_SIMD_BACKEND=scalar ctest --preset tier1 \
-    -R 'SimdBackend|SimdSched|BatchFrame|FaultLadder|DepsSta|Golden'
 
 echo "== service smoke (stdio) =="
 smoke_dir=$(mktemp -d)
@@ -88,6 +73,23 @@ for _ in $(seq 50); do [[ -s "$smoke_dir/port" ]] && break; sleep 0.1; done
 wait "$serve_pid" || { echo "qwm_serve exited non-zero"; exit 1; }
 grep -q "clean shutdown" "$smoke_dir/serve.log" || { echo "qwm_serve: no clean shutdown"; exit 1; }
 echo "service smoke passed"
+
+echo "== service smoke (generated design: qwm_serve + qwm_load) =="
+# qwm_load elaborates its --verify reference from the same gen: spec the
+# server LOADs, through the gate-level frontend.
+rm -f "$smoke_dir/port"
+./build/tools/qwm_serve --port 0 --port-file "$smoke_dir/port" --threads 4 \
+    2> "$smoke_dir/serve_gen.log" &
+serve_pid=$!
+for _ in $(seq 50); do [[ -s "$smoke_dir/port" ]] && break; sleep 0.1; done
+[[ -s "$smoke_dir/port" ]] || { echo "qwm_serve did not write its port"; kill "$serve_pid"; exit 1; }
+gen_out=$(./build/tools/qwm_load --port "$(cat "$smoke_dir/port")" \
+    --deck gen:grid:100:seed=7 --clients 4 --requests 50 --verify --shutdown)
+echo "$gen_out"
+wait "$serve_pid" || { echo "qwm_serve exited non-zero"; exit 1; }
+echo "$gen_out" | grep -q " mismatches=0$" \
+    || { echo "generated-design smoke: verification mismatches"; exit 1; }
+echo "generated-design smoke passed"
 
 echo "== crash/replay smoke (kill -9 qwm_serve, restart, replay) =="
 # A killed server is restored by restarting it on the same port and

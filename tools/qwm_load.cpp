@@ -2,6 +2,8 @@
 //
 //   qwm_load --port N --deck <path> [options]
 //
+//   --deck           a SPICE deck, a .blif file or a gen: generator spec
+//                    (the sources qwm_serve's LOAD accepts)
 //   --clients N      concurrent client connections        (default 8)
 //   --requests M     requests per client                  (default 200)
 //   --period <v>     clock period for SLACK queries       (default 2n)
@@ -47,6 +49,8 @@
 
 #include "qwm/circuit/partition.h"
 #include "qwm/device/tabular_model.h"
+#include "qwm/frontend/elaborate.h"
+#include "qwm/frontend/frontend.h"
 #include "qwm/netlist/apply_models.h"
 #include "qwm/netlist/parser.h"
 #include "qwm/service/protocol.h"
@@ -226,29 +230,52 @@ int main(int argc, char** argv) {
     return usage();
   if (port < 0 || deck.empty() || clients < 1 || requests < 1) return usage();
 
-  // Local parse: the query-net universe, and (with --verify) the
+  // Local load: the query-net universe, and (with --verify) the
   // reference single-threaded engine the responses must match bit for
   // bit — the engine's determinism contract makes the daemon's lane
-  // count irrelevant.
-  const netlist::ParseResult parsed = netlist::parse_spice_file(deck);
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "local parse of %s failed: %s\n", deck.c_str(),
-                 parsed.errors.front().c_str());
+  // count irrelevant. Gate-level sources (gen: specs, .blif files) take
+  // the frontend path, SPICE decks the parser, as in qwm_serve's LOAD.
+  const bool gate_level = frontend::is_frontend_source(deck);
+  device::Process proc = device::Process::cmosp35();
+  netlist::FlatNetlist nl;
+  frontend::BlifResult gates;
+  std::string load_error;
+  if (gate_level) {
+    gates = frontend::load_gate_netlist(deck);
+    if (!gates.ok()) load_error = gates.errors.front();
+  } else {
+    netlist::ParseResult parsed = netlist::parse_spice_file(deck);
+    if (parsed.ok()) {
+      nl = std::move(parsed.netlist);
+      netlist::apply_model_cards(nl, &proc);
+    } else {
+      load_error = parsed.errors.front();
+    }
+  }
+  if (!load_error.empty()) {
+    std::fprintf(stderr, "local load of %s failed: %s\n", deck.c_str(),
+                 load_error.c_str());
     return 1;
   }
-  device::Process proc = device::Process::cmosp35();
-  netlist::apply_model_cards(parsed.netlist, &proc);
   const device::TabularDeviceModel nmos(device::MosType::nmos, proc);
   const device::TabularDeviceModel pmos(device::MosType::pmos, proc);
   const device::ModelSet models{&nmos, &pmos, &proc};
-  auto design = circuit::partition_netlist(parsed.netlist, models);
+  circuit::PartitionedDesign design;
+  if (gate_level) {
+    frontend::ElaboratedDesign elab =
+        frontend::elaborate(gates.netlist, models);
+    nl = std::move(elab.nl);
+    design = std::move(elab.design);
+  } else {
+    design = circuit::partition_netlist(nl, models);
+  }
 
   std::vector<std::string> nets;
   for (const auto& info : design.stages)
     for (netlist::NetId n : info.output_nets)
-      nets.push_back(parsed.netlist.net_name(n));
+      nets.push_back(nl.net_name(n));
   for (netlist::NetId n : design.primary_inputs)
-    nets.push_back(parsed.netlist.net_name(n));
+    nets.push_back(nl.net_name(n));
   if (nets.empty()) {
     std::fprintf(stderr, "deck has no queryable nets\n");
     return 1;
@@ -275,7 +302,7 @@ int main(int argc, char** argv) {
     ref.run();
     const auto slacks = ref.compute_slacks(period);
     for (const auto& name : nets) {
-      const auto id = parsed.netlist.find_net(name);
+      const auto id = nl.find_net(name);
       Expected e;
       e.arrival_fields = arrival_fields_of(ref.timing(*id));
       sta::StaEngine::Slack sl;
